@@ -43,6 +43,7 @@ func renderAnalyze(planText string, tr *Trace, st Stats, rows int) string {
 		{"rewire", obs.SpanRewire},
 		{"instantiate", obs.SpanInstantiate},
 		{"execute", obs.SpanExecute},
+		{"merge barrier", obs.SpanMerge},
 	}
 	for _, p := range phases {
 		if d := tr.Dur(p.span); d > 0 {

@@ -70,63 +70,17 @@ type AggGlobal struct {
 	T types.Type
 }
 
-// MergeField locates one group-key field inside a partial group record
-// (offsets are relative to the record base, which mirrors a hash-table
-// entry including its occupancy flag word).
-type MergeField struct {
-	Offset uint32
-	T      types.Type
-}
-
-// MergeAgg locates one aggregate state field inside a partial group record
-// and names the fold rule the host applies when two partials collide.
-type MergeAgg struct {
-	Offset uint32
-	T      types.Type
-	Func   sema.AggFunc
-}
-
-// GroupMerge describes the ad-hoc exports a keyed group-by module provides
-// for parallel partial-state merging. Each worker builds a private group
-// hash table during the parallel scan; at the barrier the host drains every
-// secondary worker's table via DumpExport, folds records per key, and feeds
-// the merged records into the primary worker through RecvExport +
-// MergeExport (a morsel-shaped probe-or-combine loop over the primary's own
-// table). Serial execution never calls these exports.
-type GroupMerge struct {
-	// DumpExport compacts the occupied entries of the worker's group table
-	// into a fresh allocation and returns its base address; the record count
-	// is read from CountGlobal.
-	DumpExport string
-	// RecvExport allocates room for n merged records on the primary worker
-	// and returns the base address the host writes them to.
-	RecvExport string
-	// MergeExport folds received records [begin, end) into the primary
-	// worker's group table (insert new keys, combine colliding partials).
-	MergeExport string
-	// CountGlobal is the module global holding the live group count.
-	CountGlobal uint32
-	// Stride is the record size in bytes, occupancy flag word included.
-	Stride uint32
-	// Keys identifies the group-key fields (host fold key = their raw bytes).
-	Keys []MergeField
-	// Aggs identifies the aggregate state fields and their fold rules.
-	Aggs []MergeAgg
-}
-
-// JoinMerge describes the ad-hoc exports a hash-join build table provides
-// for parallel partitioned builds. Each worker inserts its private partition
-// of the build side during the parallel build scan; at the barrier the host
-// drains every secondary worker's partition via DumpExport, concatenates the
-// records (join inserts are append-style — duplicates coexist, so no
-// host-side folding is needed), feeds them into the primary worker through
-// RecvExport + MergeExport, and finally replicates the primary's complete
-// table into every secondary via InstallExport so the probe pipeline can run
-// embarrassingly parallel. Serial execution never calls these exports.
-type JoinMerge struct {
-	// DumpExport compacts the occupied entries of the worker's partition
-	// into a fresh allocation and returns its base address; the record count
-	// is read from CountGlobal.
+// HTMerge names the ad-hoc exports of the merge barrier shared by group and
+// join hash tables. Each worker fills a private table during the parallel
+// scan; at the barrier the host drains every secondary worker's table via
+// DumpExport, concatenates the records, presizes the primary's table with
+// PresizeExport, writes the records through RecvExport and drives
+// MergeExport morsel-wise over them. Serial execution never calls these
+// exports.
+type HTMerge struct {
+	// DumpExport compacts the occupied entries of the worker's table into a
+	// fresh allocation and returns its base address; the record count is
+	// read from CountGlobal.
 	DumpExport string
 	// RecvExport allocates room for n records on the primary worker and
 	// returns the base address the host writes them to.
@@ -136,21 +90,50 @@ type JoinMerge struct {
 	// mid-insertion (slot-ordered dump records against a near-full table
 	// probe pathologically long clusters).
 	PresizeExport string
-	// MergeExport re-inserts received records [begin, end) into the primary
-	// worker's table (append at the first empty probe slot; never combines).
+	// MergeExport inserts received records [begin, end) into the primary
+	// worker's table: groups fold colliding keys' partial states, joins
+	// append at the first empty probe slot.
 	MergeExport string
+	// CountGlobal is the module global holding the table's live entry count.
+	CountGlobal uint32
+	// Stride is the record size in bytes, occupancy flag word included.
+	Stride uint32
+}
+
+// MergeAgg names the fold rule of one aggregate state in a partial group
+// record.
+type MergeAgg struct {
+	T    types.Type
+	Func sema.AggFunc
+}
+
+// GroupMerge describes the merge exports of a keyed group-by table. The
+// guest merge export is the only group combiner: it compares keys with the
+// serial probe's equality and folds colliding partial states. Keys and Aggs
+// let classifyParallel decide whether that fold reproduces serial results.
+type GroupMerge struct {
+	HTMerge
+	// Keys are the group-key types.
+	Keys []types.Type
+	// Aggs are the aggregate state types and their fold rules.
+	Aggs []MergeAgg
+}
+
+// JoinMerge describes the merge exports of a hash-join build table. After
+// the shared merge barrier the host replicates the primary's complete table
+// into every secondary via InstallExport, so the probe pipeline can run
+// embarrassingly parallel.
+type JoinMerge struct {
+	HTMerge
 	// InstallExport(cap, count) allocates cap*Stride bytes on a secondary
 	// worker, repoints the table globals at it, and returns the base the
 	// host writes the primary's entry image to — replacing the secondary's
 	// partial partition with the complete table before the probe runs.
 	InstallExport string
-	// BaseGlobal / MaskGlobal / CountGlobal are the table's module globals
-	// (read host-side to locate and describe the primary's entry image).
-	BaseGlobal  uint32
-	MaskGlobal  uint32
-	CountGlobal uint32
-	// Stride is the entry size in bytes, occupancy flag word included.
-	Stride uint32
+	// BaseGlobal / MaskGlobal are the table's base-address and mask module
+	// globals (read host-side to locate the primary's entry image).
+	BaseGlobal uint32
+	MaskGlobal uint32
 	// BuildPipeline is the index into CompiledQuery.Pipelines of the build
 	// pipeline this table is filled by; the executor barriers after it.
 	BuildPipeline int
@@ -214,8 +197,8 @@ type CompiledQuery struct {
 
 	// GroupMerge describes the ad-hoc merge exports of a keyed group-by
 	// module (nil when the query has no specialized group hash table). The
-	// parallel executor uses it to drain each worker's partial groups, fold
-	// them per key host-side, and feed the result into the primary worker.
+	// parallel executor drains each worker's partial groups through them and
+	// lets the primary worker's guest merge fold them into its table.
 	GroupMerge *GroupMerge
 	// JoinMerges describes the partition merge exports of each ad-hoc hash
 	// join build table, in build-pipeline order (empty when the query has no

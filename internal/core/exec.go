@@ -146,8 +146,9 @@ type ExecStats struct {
 	// requested): chunked-rewiring, fuel-budget, limit, float-sum-order,
 	// float-group-key, or unmergeable-pipeline-state.
 	SerialFallback string
-	// GroupsMerged counts the distinct groups folded at the parallel
-	// group-by barrier (0 when no group merge ran).
+	// GroupsMerged counts the partial group records drained from secondary
+	// workers and merged by the guest at the parallel group-by barrier (0
+	// when no group merge ran).
 	GroupsMerged int
 	// JoinPartitionsMerged counts the secondary-worker build partitions
 	// drained at parallel join barriers, summed across the query's joins (0
@@ -539,53 +540,68 @@ func Execute(cq *CompiledQuery, q *sema.Query, eng *engine.Engine, opt ExecOptio
 		return firstErr
 	}
 
-	// mergeGroups drains every secondary worker's partial group table, folds
-	// the records per key host-side, and feeds the merged records into the
-	// primary worker's table — the parGroup pipeline barrier. The fold into
-	// the primary is driven morsel-wise through callMorsel so tracing and
-	// fault injection cover the merge like any pipeline; an error leaves the
-	// query failed, never partially merged.
-	mergeGroups := func() error {
-		gm := cq.GroupMerge
-		sp := tr.Begin(obs.SpanMerge)
-		runs := make([][]byte, 0, len(ws)-1)
+	// mergeTable is the hash-table merge barrier groups and joins share: it
+	// drains every secondary worker's table through the dump export,
+	// concatenates the records, presizes the primary's table, writes the
+	// records through the recv export, and lets the guest merge export insert
+	// them — driven morsel-wise through callMorsel, so tracing, cancellation
+	// and fault injection cover the merge like any pipeline. It returns the
+	// number of records drained. An error leaves the query failed, never
+	// partially merged.
+	mergeTable := func(m *HTMerge) (int, error) {
+		var recs []byte
 		records := 0
 		for _, w := range ws[1:] {
 			if err := canceled(); err != nil {
-				return err
+				return 0, err
 			}
-			r, err := w.inst.Call(gm.DumpExport)
+			r, err := w.inst.Call(m.DumpExport)
 			if err != nil {
-				return fmt.Errorf("core: %s: %w", gm.DumpExport, wrapErr(err))
+				return 0, fmt.Errorf("core: %s: %w", m.DumpExport, wrapErr(err))
 			}
-			n := int(uint32(w.inst.Global(int(gm.CountGlobal))))
-			runs = append(runs, w.mem.ReadBytes(uint32(r[0]), uint32(n)*gm.Stride))
+			n := int(uint32(w.inst.Global(int(m.CountGlobal))))
+			recs = append(recs, w.mem.ReadBytes(uint32(r[0]), uint32(n)*m.Stride)...)
 			records += n
 		}
-		merged, n := foldGroupRecords(gm, runs)
-		if n > 0 {
-			r, err := primary.inst.Call(gm.RecvExport, uint64(uint32(n)))
-			if err != nil {
-				return fmt.Errorf("core: %s: %w", gm.RecvExport, wrapErr(err))
+		if records == 0 {
+			return 0, nil
+		}
+		// Grow the primary's table to its final size up front: the merge
+		// loop then never rehashes mid-insertion. Keys shared between workers
+		// make this an upper bound for groups.
+		needed := records + int(uint32(primary.inst.Global(int(m.CountGlobal))))
+		if _, err := primary.inst.Call(m.PresizeExport, uint64(uint32(needed))); err != nil {
+			return 0, fmt.Errorf("core: %s: %w", m.PresizeExport, wrapErr(err))
+		}
+		r, err := primary.inst.Call(m.RecvExport, uint64(uint32(records)))
+		if err != nil {
+			return 0, fmt.Errorf("core: %s: %w", m.RecvExport, wrapErr(err))
+		}
+		primary.mem.WriteBytes(uint32(r[0]), recs)
+		for begin := 0; begin < records; begin += opt.MorselRows {
+			if err := canceled(); err != nil {
+				return 0, err
 			}
-			primary.mem.WriteBytes(uint32(r[0]), merged)
-			for begin := 0; begin < n; begin += opt.MorselRows {
-				if err := canceled(); err != nil {
-					return err
-				}
-				end := begin + opt.MorselRows
-				if end > n {
-					end = n
-				}
-				if _, err := callMorsel(primary, gm.MergeExport, begin, end); err != nil {
-					return err
-				}
+			end := min(begin+opt.MorselRows, records)
+			if _, err := callMorsel(primary, m.MergeExport, begin, end); err != nil {
+				return 0, err
 			}
 		}
-		stats.GroupsMerged = n
-		tr.Event(obs.EvGroupMerge, obs.I("groups", int64(n)),
-			obs.I("records", int64(records)), obs.I("workers", int64(workers)))
-		sp.End(obs.I("groups", int64(n)))
+		return records, nil
+	}
+
+	// mergeGroups is the parGroup pipeline barrier: the secondary workers'
+	// partial groups are merged into the primary's table.
+	mergeGroups := func() error {
+		sp := tr.Begin(obs.SpanMerge)
+		records, err := mergeTable(&cq.GroupMerge.HTMerge)
+		if err != nil {
+			return err
+		}
+		stats.GroupsMerged = records
+		tr.Event(obs.EvGroupMerge, obs.I("records", int64(records)),
+			obs.I("workers", int64(workers)))
+		sp.End(obs.I("records", int64(records)))
 		return nil
 	}
 
@@ -633,54 +649,15 @@ func Execute(cq *CompiledQuery, q *sema.Query, eng *engine.Engine, opt ExecOptio
 		return nil
 	}
 
-	// mergeJoin drains every secondary worker's private build partition,
-	// appends the records into the primary worker's table (morsel-wise
-	// through callMorsel, so tracing and fault injection cover the merge),
-	// and replicates the primary's completed table into every secondary so
-	// the parallel probe sees the full build side — the join pipeline
-	// barrier. Join inserts are append-style (duplicate keys coexist), so
-	// the host concatenates the dumps without folding. An error leaves the
-	// query failed, never partially merged.
+	// mergeJoin is the join pipeline barrier: it merges every secondary
+	// worker's private build partition into the primary's table, then
+	// replicates the primary's completed table into every secondary so the
+	// parallel probe sees the full build side.
 	mergeJoin := func(jm *JoinMerge) error {
 		sp := tr.Begin(obs.SpanMerge)
-		var recs []byte
-		records := 0
-		for _, w := range ws[1:] {
-			if err := canceled(); err != nil {
-				return err
-			}
-			r, err := w.inst.Call(jm.DumpExport)
-			if err != nil {
-				return fmt.Errorf("core: %s: %w", jm.DumpExport, wrapErr(err))
-			}
-			n := int(uint32(w.inst.Global(int(jm.CountGlobal))))
-			recs = append(recs, w.mem.ReadBytes(uint32(r[0]), uint32(n)*jm.Stride)...)
-			records += n
-		}
-		if records > 0 {
-			// Grow the primary's table to its final size up front: the merge
-			// loop then only claims slots, never rehashes mid-insertion.
-			needed := records + int(uint32(primary.inst.Global(int(jm.CountGlobal))))
-			if _, err := primary.inst.Call(jm.PresizeExport, uint64(uint32(needed))); err != nil {
-				return fmt.Errorf("core: %s: %w", jm.PresizeExport, wrapErr(err))
-			}
-			r, err := primary.inst.Call(jm.RecvExport, uint64(uint32(records)))
-			if err != nil {
-				return fmt.Errorf("core: %s: %w", jm.RecvExport, wrapErr(err))
-			}
-			primary.mem.WriteBytes(uint32(r[0]), recs)
-			for begin := 0; begin < records; begin += opt.MorselRows {
-				if err := canceled(); err != nil {
-					return err
-				}
-				end := begin + opt.MorselRows
-				if end > records {
-					end = records
-				}
-				if _, err := callMorsel(primary, jm.MergeExport, begin, end); err != nil {
-					return err
-				}
-			}
+		records, err := mergeTable(&jm.HTMerge)
+		if err != nil {
+			return err
 		}
 		// Replicate the completed table to every secondary — their partial
 		// partitions must be replaced even when no records moved the other

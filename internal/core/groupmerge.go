@@ -7,61 +7,76 @@ import (
 	"wasmdb/internal/wasm"
 )
 
-// Parallel group-merge exports (host-side partial-state merge). Every worker
-// builds a private group hash table during the parallel scan; these three
-// ad-hoc exports let the host drain secondary workers' tables, fold the
-// partial records per key, and feed the merged records into the primary
-// worker, whose output pipeline then runs unchanged. Like the rest of the
-// module they are monomorphized against the QEP's types — the merge loop is
-// the same inlined probe/claim/combine code shape as the feeding pipeline,
-// except that colliding aggregates fold partial states instead of rows.
-// Serial execution never calls them.
+// Parallel hash-table merge exports. Every worker fills a private group or
+// join-build hash table during the parallel scan; at the barrier the host
+// drains the secondary workers' tables (dump), concatenates the records,
+// presizes the primary's table, writes the records into the primary (recv)
+// and drives the merge export over them morsel-wise. Groups and joins share
+// that protocol and differ only in the merge loop: a group merge compares
+// keys with the serial probe's equality and folds colliding partial states,
+// a join merge appends (duplicate keys coexist). Like the rest of the module
+// the exports are monomorphized against the QEP's types. Serial execution
+// never calls them.
 
 const (
-	groupDumpExport  = "q_groups_dump"
-	groupRecvExport  = "q_merge_recv"
-	groupMergeExport = "q_group_merge"
+	groupDumpExport    = "q_groups_dump"
+	groupRecvExport    = "q_merge_recv"
+	groupPresizeExport = "q_group_presize"
+	groupMergeExport   = "q_group_merge"
 )
 
-// genGroupMerge emits the dump/recv/merge exports for the group hash table
-// and records the metadata the parallel executor needs. Only the first
-// (and in practice only) keyed group of a query gets the exports.
+// genGroupMerge emits the merge exports for the group hash table and
+// records the metadata the parallel executor needs. Only the first (and in
+// practice only) keyed group of a query gets the exports.
 func (c *compiler) genGroupMerge(gr *plan.Group, ht *htInfo, aggSlots []*sema.AggRef) {
 	if c.out.GroupMerge != nil {
 		return
 	}
-	gm := &GroupMerge{
-		DumpExport:  groupDumpExport,
-		RecvExport:  groupRecvExport,
-		MergeExport: groupMergeExport,
-		CountGlobal: ht.gCount,
-		Stride:      ht.layout.stride,
-	}
+	gm := &GroupMerge{HTMerge: HTMerge{
+		DumpExport:    groupDumpExport,
+		RecvExport:    groupRecvExport,
+		PresizeExport: groupPresizeExport,
+		MergeExport:   groupMergeExport,
+		CountGlobal:   ht.gCount,
+		Stride:        ht.layout.stride,
+	}}
 	for _, k := range gr.Keys {
-		fld, ok := ht.layout.find(k)
-		if !ok {
-			return
-		}
-		gm.Keys = append(gm.Keys, MergeField{Offset: fld.offset, T: fld.t})
+		gm.Keys = append(gm.Keys, k.Type())
 	}
+	aggFields := make([]field, len(gr.Aggs))
 	for i, a := range gr.Aggs {
 		fld, ok := ht.layout.find(aggSlots[i])
 		if !ok {
 			return
 		}
-		gm.Aggs = append(gm.Aggs, MergeAgg{Offset: fld.offset, T: fld.t, Func: a.Func})
+		aggFields[i] = fld
+		gm.Aggs = append(gm.Aggs, MergeAgg{T: fld.t, Func: a.Func})
 	}
 
-	c.genDumpFunc(groupDumpExport, ht)
-	gRecv := c.genRecvFunc(groupRecvExport, ht)
-	c.genGroupMergeFunc(gr, ht, aggSlots, gRecv)
+	c.genHTMerge(gm.HTMerge, ht, func(g *gen, entry, rec wasm.Local) {
+		for i, a := range gr.Aggs {
+			af := aggFields[i]
+			g.emitAggMerge(entry, af, a, func() { g.loadField(rec, af) })
+		}
+	})
 	c.out.GroupMerge = gm
+}
+
+// genHTMerge emits the dump, recv, presize and merge exports named by m for
+// table ht. fold, when non-nil, makes the merge a group merge: a received
+// record whose keys equal an occupied entry's is folded into it by
+// fold(entry, rec). Without fold, records are appended (join semantics).
+func (c *compiler) genHTMerge(m HTMerge, ht *htInfo, fold func(g *gen, entry, rec wasm.Local)) {
+	c.genDumpFunc(m.DumpExport, ht)
+	gRecv := c.genRecvFunc(m.RecvExport, ht)
+	c.genPresizeFunc(m.PresizeExport, ht)
+	c.genMergeFunc(m.MergeExport, ht, gRecv, fold)
 }
 
 // genDumpFunc emits <name>() -> i32: compact the occupied entries of the
 // hash table into a fresh allocation (flag word included, so each record is
 // a verbatim entry image) and return its base. The record count is the live
-// gCount, read host-side. Shared by the group and join merge protocols.
+// gCount, read host-side.
 func (c *compiler) genDumpFunc(name string, ht *htInfo) {
 	f := c.b.NewFunc(name, wasm.FuncType{Results: []wasm.ValType{wasm.I32}})
 	c.b.Export(name, wasm.ExternFunc, f.Index)
@@ -118,8 +133,7 @@ func (c *compiler) genDumpFunc(name string, ht *htInfo) {
 
 // genRecvFunc emits <name>(n) -> i32: allocate room for n merged records,
 // remember the base in a dedicated global (the merge loop reads it), and
-// return it so the host can write the records. Shared by the group and join
-// merge protocols.
+// return it so the host can write the records.
 func (c *compiler) genRecvFunc(name string, ht *htInfo) uint32 {
 	gRecv := c.b.AddGlobal(wasm.I32, true, 0)
 	f := c.b.NewFunc(name, wasm.FuncType{
@@ -135,16 +149,52 @@ func (c *compiler) genRecvFunc(name string, ht *htInfo) uint32 {
 	return gRecv
 }
 
-// genGroupMergeFunc emits q_group_merge(begin, end) -> i32: fold received
-// records [begin, end) into this worker's group table — claim empty slots
-// with a verbatim record copy, combine colliding partial states. The
-// morsel-shaped signature lets the executor drive it through the same
-// callMorsel path as pipelines (tracing and fault injection apply).
-func (c *compiler) genGroupMergeFunc(gr *plan.Group, ht *htInfo, aggSlots []*sema.AggRef, gRecv uint32) {
-	f := c.b.NewFunc(groupMergeExport, wasm.FuncType{
+// genPresizeFunc emits <name>(needed) -> i32: grow the table until `needed`
+// records fit under the 3/4 load-factor ceiling, returning the final
+// capacity. The host calls it before the merge loop so insertion never
+// grows mid-merge: dumps list records in slot order, and slot-ordered
+// inserts meeting a near-full table degenerate into long linear-probe
+// cluster walks right at the growth thresholds.
+func (c *compiler) genPresizeFunc(name string, ht *htInfo) {
+	f := c.b.NewFunc(name, wasm.FuncType{
+		Params: []wasm.ValType{wasm.I32}, Results: []wasm.ValType{wasm.I32},
+	})
+	c.b.Export(name, wasm.ExternFunc, f.Index)
+	f.Block(wasm.BlockVoid)
+	f.Loop(wasm.BlockVoid)
+	f.LocalGet(f.Param(0))
+	f.I32Const(4)
+	f.I32Mul()
+	f.GlobalGet(ht.gMask)
+	f.I32Const(1)
+	f.I32Add()
+	f.I32Const(3)
+	f.I32Mul()
+	f.Op(wasm.OpI32LeU) // needed*4 <= cap*3: big enough
+	f.BrIf(1)
+	f.Call(ht.grow.Index)
+	f.Br(0)
+	f.End()
+	f.End()
+	f.GlobalGet(ht.gMask)
+	f.I32Const(1)
+	f.I32Add()
+}
+
+// genMergeFunc emits <name>(begin, end) -> i32: insert received records
+// [begin, end) into this worker's table. Each record is a verbatim entry
+// image; re-hash its stored keys (same canonicalization as the feeding
+// insert) and probe. An empty slot is claimed with a word copy. With fold,
+// an occupied slot whose keys equal the record's (the serial probe's
+// emitKeysEqual) absorbs the record's partial states; without it, occupied
+// slots are skipped, because append semantics mean colliding keys coexist.
+// The morsel-shaped signature lets the executor drive it through callMorsel
+// (tracing and fault injection apply).
+func (c *compiler) genMergeFunc(name string, ht *htInfo, gRecv uint32, fold func(g *gen, entry, rec wasm.Local)) {
+	f := c.b.NewFunc(name, wasm.FuncType{
 		Params: []wasm.ValType{wasm.I32, wasm.I32}, Results: []wasm.ValType{wasm.I32},
 	})
-	c.b.Export(groupMergeExport, wasm.ExternFunc, f.Index)
+	c.b.Export(name, wasm.ExternFunc, f.Index)
 	g := &gen{c: c, f: f}
 	stride := int32(ht.layout.stride)
 
@@ -169,13 +219,17 @@ func (c *compiler) genGroupMergeFunc(gr *plan.Group, ht *htInfo, aggSlots []*sem
 	f.LocalSet(rec)
 
 	// Key sources read from the record, which mirrors the entry layout.
-	keys := make([]keySrc, len(gr.Keys))
-	for ki, k := range gr.Keys {
-		fld, _ := ht.layout.find(k)
+	var keys []keySrc
+	for _, k := range ht.keys {
+		fld, ok := ht.layout.find(k)
+		if !ok {
+			g.fail("merge: key not in entry layout")
+			continue
+		}
 		kf := fld
-		keys[ki] = keySrc{t: kf.t, pushVal: func() { g.loadField(rec, kf) }}
+		keys = append(keys, keySrc{t: kf.t, pushVal: func() { g.loadField(rec, kf) }})
 	}
-	h := g.emitHash(keys)
+	h := g.emitHashCanon(keys, ht.canonFloatKeys)
 	idx := g.emitSlotIndex(ht, h)
 
 	f.Block(wasm.BlockVoid) // this record done
@@ -185,8 +239,8 @@ func (c *compiler) genGroupMergeFunc(gr *plan.Group, ht *htInfo, aggSlots []*sem
 	f.Emit(wasm.OpI32Load, 0, 2)
 	f.I32Eqz()
 	f.If(wasm.BlockVoid)
-	// Claim: the record is a full entry image (flag, keys, partial states),
-	// so a verbatim copy installs the group.
+	// Claim: the record is a full entry image (flag, keys, payload or
+	// partial states), so a verbatim copy installs it.
 	emitWordCopy(f, entry, rec, stride)
 	f.GlobalGet(ht.gCount)
 	f.I32Const(1)
@@ -195,16 +249,14 @@ func (c *compiler) genGroupMergeFunc(gr *plan.Group, ht *htInfo, aggSlots []*sem
 	g.emitMaybeGrow(ht)
 	f.Br(2) // this record done
 	f.End()
-	// Occupied: keys equal → fold partial states; else advance.
-	g.emitKeysEqual(ht, keys, entry)
-	f.If(wasm.BlockVoid)
-	for ai, a := range gr.Aggs {
-		fld, _ := ht.layout.find(aggSlots[ai])
-		af := fld
-		g.emitAggMerge(entry, af, a, func() { g.loadField(rec, af) })
+	if fold != nil {
+		// Occupied: keys equal → fold partial states; else advance.
+		g.emitKeysEqual(ht, keys, entry)
+		f.If(wasm.BlockVoid)
+		fold(g, entry, rec)
+		f.Br(2) // this record done
+		f.End()
 	}
-	f.Br(2) // this record done
-	f.End()
 	f.LocalGet(idx)
 	f.I32Const(1)
 	f.I32Add()

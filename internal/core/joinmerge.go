@@ -8,14 +8,13 @@ import (
 
 // Parallel join-merge exports (partitioned build → shared immutable table).
 // Every worker inserts its private partition of the build side during the
-// parallel build scan; these exports let the host drain the secondary
-// workers' partitions, append them into the primary worker's table, and
-// replicate the completed table into every worker so the probe pipeline runs
-// embarrassingly parallel. Unlike the group merge there is no host-side
-// fold: join inserts are append-style (duplicate keys coexist as separate
-// entries), so merging is concatenation plus re-insertion — the merge loop
-// claims the first empty probe slot and never compares keys. Serial
-// execution never calls these exports.
+// parallel build scan; the shared hash-table merge barrier (groupmerge.go)
+// appends the secondary workers' partitions into the primary worker's
+// table, and the install export then replicates the completed table into
+// every worker so the probe pipeline runs embarrassingly parallel. Join
+// inserts are append-style (duplicate keys coexist as separate entries), so
+// the merge loop claims the first empty probe slot and never compares keys.
+// Serial execution never calls these exports.
 
 // joinInitialCap derives the initial capacity of a join build table from the
 // planner's cardinality estimate. Estimates are float64 row counts that may
@@ -37,150 +36,29 @@ func joinInitialCap(est float64) uint32 {
 	return pow2ceil(uint32(est))
 }
 
-// genJoinMerge emits the dump/recv/merge/install exports for one join build
+// genJoinMerge emits the merge and install exports for one join build
 // table and records the metadata the parallel executor needs. Export names
 // carry the join's ordinal so multi-join queries keep them distinct.
 func (c *compiler) genJoinMerge(ht *htInfo, buildPipeline int) {
 	ord := len(c.out.JoinMerges)
 	jm := &JoinMerge{
-		DumpExport:    fmt.Sprintf("q_join_dump_%d", ord),
-		RecvExport:    fmt.Sprintf("q_join_recv_%d", ord),
-		PresizeExport: fmt.Sprintf("q_join_presize_%d", ord),
-		MergeExport:   fmt.Sprintf("q_join_merge_%d", ord),
+		HTMerge: HTMerge{
+			DumpExport:    fmt.Sprintf("q_join_dump_%d", ord),
+			RecvExport:    fmt.Sprintf("q_join_recv_%d", ord),
+			PresizeExport: fmt.Sprintf("q_join_presize_%d", ord),
+			MergeExport:   fmt.Sprintf("q_join_merge_%d", ord),
+			CountGlobal:   ht.gCount,
+			Stride:        ht.layout.stride,
+		},
 		InstallExport: fmt.Sprintf("q_join_install_%d", ord),
 		BaseGlobal:    ht.gBase,
 		MaskGlobal:    ht.gMask,
-		CountGlobal:   ht.gCount,
-		Stride:        ht.layout.stride,
 		BuildPipeline: buildPipeline,
 	}
 
-	c.genDumpFunc(jm.DumpExport, ht)
-	gRecv := c.genRecvFunc(jm.RecvExport, ht)
-	c.genJoinPresize(jm.PresizeExport, ht)
-	c.genJoinMergeFunc(jm.MergeExport, ht, gRecv)
+	c.genHTMerge(jm.HTMerge, ht, nil)
 	c.genJoinInstall(jm.InstallExport, ht)
 	c.out.JoinMerges = append(c.out.JoinMerges, jm)
-}
-
-// genJoinPresize emits <name>(needed) -> i32: grow the table until `needed`
-// records fit under the 3/4 load-factor ceiling, returning the final
-// capacity. The host calls it before the merge loop so re-insertion never
-// grows mid-merge: dumps list records in slot order, and slot-ordered
-// inserts meeting a near-full table degenerate into long linear-probe
-// cluster walks right at the growth thresholds.
-func (c *compiler) genJoinPresize(name string, ht *htInfo) {
-	f := c.b.NewFunc(name, wasm.FuncType{
-		Params: []wasm.ValType{wasm.I32}, Results: []wasm.ValType{wasm.I32},
-	})
-	c.b.Export(name, wasm.ExternFunc, f.Index)
-	f.Block(wasm.BlockVoid)
-	f.Loop(wasm.BlockVoid)
-	f.LocalGet(f.Param(0))
-	f.I32Const(4)
-	f.I32Mul()
-	f.GlobalGet(ht.gMask)
-	f.I32Const(1)
-	f.I32Add()
-	f.I32Const(3)
-	f.I32Mul()
-	f.Op(wasm.OpI32LeU) // needed*4 <= cap*3: big enough
-	f.BrIf(1)
-	f.Call(ht.grow.Index)
-	f.Br(0)
-	f.End()
-	f.End()
-	f.GlobalGet(ht.gMask)
-	f.I32Const(1)
-	f.I32Add()
-}
-
-// genJoinMergeFunc emits <name>(begin, end) -> i32: re-insert received
-// records [begin, end) into this worker's join table. Each record is a
-// verbatim entry image; re-hash its stored keys (same canonicalization as
-// the build insert), probe to the first empty slot, and claim it with a word
-// copy — no key comparison, because append semantics mean colliding keys
-// coexist. The morsel-shaped signature lets the executor drive it through
-// callMorsel (tracing and fault injection apply).
-func (c *compiler) genJoinMergeFunc(name string, ht *htInfo, gRecv uint32) {
-	f := c.b.NewFunc(name, wasm.FuncType{
-		Params: []wasm.ValType{wasm.I32, wasm.I32}, Results: []wasm.ValType{wasm.I32},
-	})
-	c.b.Export(name, wasm.ExternFunc, f.Index)
-	g := &gen{c: c, f: f}
-	stride := int32(ht.layout.stride)
-
-	i := f.AddLocal(wasm.I32)
-	rec := f.AddLocal(wasm.I32)
-	entry := f.AddLocal(wasm.I32)
-
-	f.LocalGet(f.Param(0))
-	f.LocalSet(i)
-
-	f.Block(wasm.BlockVoid) // all records done
-	f.Loop(wasm.BlockVoid)
-	f.LocalGet(i)
-	f.LocalGet(f.Param(1))
-	f.I32GeU()
-	f.BrIf(1)
-	f.GlobalGet(gRecv)
-	f.LocalGet(i)
-	f.I32Const(stride)
-	f.I32Mul()
-	f.I32Add()
-	f.LocalSet(rec)
-
-	// Key sources read from the record, which mirrors the entry layout.
-	var stored []keySrc
-	for _, k := range ht.keys {
-		fld, ok := ht.layout.find(k)
-		if !ok {
-			g.fail("join merge: key not in entry layout")
-			continue
-		}
-		kf := fld
-		stored = append(stored, keySrc{t: kf.t, pushVal: func() { g.loadField(rec, kf) }})
-	}
-	h := g.emitHashCanon(stored, ht.canonFloatKeys)
-	idx := g.emitSlotIndex(ht, h)
-
-	// Probe to the first empty slot and claim it.
-	f.Block(wasm.BlockVoid) // this record done
-	f.Loop(wasm.BlockVoid)
-	g.emitEntryPtr(ht, idx, entry)
-	f.LocalGet(entry)
-	f.Emit(wasm.OpI32Load, 0, 2)
-	f.I32Eqz()
-	f.If(wasm.BlockVoid)
-	emitWordCopy(f, entry, rec, stride)
-	f.GlobalGet(ht.gCount)
-	f.I32Const(1)
-	f.I32Add()
-	f.GlobalSet(ht.gCount)
-	g.emitMaybeGrow(ht)
-	f.Br(2) // this record done
-	f.End()
-	f.LocalGet(idx)
-	f.I32Const(1)
-	f.I32Add()
-	f.GlobalGet(ht.gMask)
-	f.I32And()
-	f.LocalSet(idx)
-	f.Br(0)
-	f.End()
-	f.End()
-
-	f.LocalGet(i)
-	f.I32Const(1)
-	f.I32Add()
-	f.LocalSet(i)
-	f.Br(0)
-	f.End()
-	f.End()
-	f.I32Const(0)
-	if g.err != nil && c.err == nil {
-		c.err = g.err
-	}
 }
 
 // genJoinInstall emits <name>(cap, count) -> i32: allocate cap*stride bytes,

@@ -23,14 +23,15 @@ import (
 //	keyless aggregation   → per-worker partial states in module globals,
 //	                        merged with the aggregate's combine rule
 //	grouped aggregation   → per-worker partial group hash tables, drained via
-//	                        the module's ad-hoc merge exports, folded per key
-//	                        host-side, and fed into the primary worker
+//	                        the module's ad-hoc merge exports, concatenated,
+//	                        and folded into the primary worker's table by its
+//	                        guest merge export
 //	order by              → per-worker sorted runs, k-way merged host-side
 //	                        and installed on the primary worker
-//	hash-join builds      → per-worker partition tables, drained via the
-//	                        module's ad-hoc join merge exports, appended into
-//	                        the primary, and the completed table replicated
-//	                        to every worker before the probe pipeline runs
+//	hash-join builds      → per-worker partition tables, merged into the
+//	                        primary through the same barrier as groups, and
+//	                        the completed table replicated to every worker
+//	                        before the probe pipeline runs
 //
 // Pipelines whose state the host cannot combine (library-style hash tables
 // and sorts) fall back to serial execution; the fallback is recorded in
@@ -51,9 +52,9 @@ const (
 	// the run-once output pipeline executes on the primary worker.
 	parAgg
 	// parGroup parallelizes the scan feeding a grouped aggregation; workers
-	// build private group hash tables and the barrier drains, folds, and
-	// feeds the partial groups into the primary worker, which then runs the
-	// output pipeline(s) serially.
+	// build private group hash tables, the barrier drains them and the
+	// primary worker's guest merge folds the partial groups into its table,
+	// and the primary then runs the output pipeline(s) serially.
 	parGroup
 	// parSort parallelizes the scan feeding an ORDER BY; every worker
 	// quicksorts its private tuple array at the barrier and the host k-way
@@ -194,11 +195,12 @@ func classifyParallel(cq *CompiledQuery, opt ExecOptions, workers int, limit int
 		// primary over the merged state.
 		gm := cq.GroupMerge
 		for _, k := range gm.Keys {
-			if k.T.Kind == types.Float64 {
-				// The host folds partial groups by raw key bytes; distinct
-				// NaN keys compare unequal in the guest (F64Eq) but can be
-				// bit-identical, so byte folding would merge groups serial
-				// execution keeps apart.
+			if k.Kind == types.Float64 {
+				// Group tables hash Float64 keys by raw bits but compare
+				// them with F64Eq, so whether -0.0 and +0.0 meet in one
+				// probe chain (and share a group) depends on the table
+				// layout — and the presized merged table is laid out
+				// differently from the serial one.
 				return parNone, fallbackFloatKey
 			}
 		}
@@ -294,76 +296,6 @@ func aggLess(t types.Type, a, b uint64) bool {
 		return math.Float64frombits(a) < math.Float64frombits(b)
 	default: // Int64, Decimal
 		return int64(a) < int64(b)
-	}
-}
-
-// foldGroupRecords folds the drained per-worker partial group records into
-// one record list: records sharing a key collapse with combineAgg, distinct
-// keys keep first-seen order (Go map iteration order must not leak into the
-// merged feed — a fixed drain order gives a fixed output). Each record is a
-// verbatim hash-table entry image of gm.Stride bytes. Returns the merged
-// records and their count.
-func foldGroupRecords(gm *GroupMerge, runs [][]byte) ([]byte, int) {
-	stride := int(gm.Stride)
-	index := make(map[string]int)
-	var out []byte
-	for _, run := range runs {
-		for off := 0; off+stride <= len(run); off += stride {
-			rec := run[off : off+stride]
-			key := string(groupKeyBytes(gm, rec))
-			at, seen := index[key]
-			if !seen {
-				index[key] = len(out)
-				out = append(out, rec...)
-				continue
-			}
-			dst := out[at : at+stride]
-			for _, ma := range gm.Aggs {
-				st := combineAgg(AggGlobal{Func: ma.Func, T: ma.T},
-					loadAggState(ma.T, dst[ma.Offset:]),
-					loadAggState(ma.T, rec[ma.Offset:]))
-				storeAggState(ma.T, dst[ma.Offset:], st)
-			}
-		}
-	}
-	return out, len(out) / stride
-}
-
-// groupKeyBytes concatenates the raw bytes of a record's key fields. CHAR
-// keys are stored space-padded at fixed width, so byte equality coincides
-// with the guest's padded strcmp equality; Float64 keys never reach here
-// (classifyParallel rejects them — NaN bit patterns would alias).
-func groupKeyBytes(gm *GroupMerge, rec []byte) []byte {
-	key := make([]byte, 0, 16)
-	for _, k := range gm.Keys {
-		key = append(key, rec[k.Offset:int(k.Offset)+k.T.Size()]...)
-	}
-	return key
-}
-
-// loadAggState reads an aggregate state field in the wasm value
-// representation the guest uses (Bool via 8-bit unsigned load, Int32/Date
-// via 32-bit load, everything else 64-bit).
-func loadAggState(t types.Type, b []byte) uint64 {
-	switch t.Kind {
-	case types.Bool:
-		return uint64(b[0])
-	case types.Int32, types.Date:
-		return uint64(binary.LittleEndian.Uint32(b))
-	default: // Int64, Decimal, Float64
-		return binary.LittleEndian.Uint64(b)
-	}
-}
-
-// storeAggState writes an aggregate state field, inverse of loadAggState.
-func storeAggState(t types.Type, b []byte, v uint64) {
-	switch t.Kind {
-	case types.Bool:
-		b[0] = byte(v)
-	case types.Int32, types.Date:
-		binary.LittleEndian.PutUint32(b, uint32(v))
-	default:
-		binary.LittleEndian.PutUint64(b, v)
 	}
 }
 

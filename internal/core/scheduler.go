@@ -141,9 +141,10 @@ func (l *Lease) Extras() int {
 // retire at this morsel boundary because the lease was marked down. Worker 0
 // (the primary) never yields. The first observation by a given worker
 // returns its slot to the pool immediately; the call is cheap enough for the
-// morsel loop (one mutex acquisition, uncontended in steady state).
+// morsel loop (one mutex acquisition, uncontended in steady state). An id
+// beyond the granted extras holds no slot of this lease and never yields.
 func (l *Lease) ShouldYield(workerID int) bool {
-	if l == nil || workerID == 0 {
+	if l == nil || workerID == 0 || workerID > l.extras {
 		return false
 	}
 	l.mu.Lock()

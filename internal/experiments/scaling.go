@@ -18,17 +18,20 @@ var ScalingWorkers = []int{1, 2, 4}
 
 // scalingQueries are the parallel-eligible shapes the experiment sweeps:
 // a keyless aggregation (merged via ad-hoc partial-state exports), a
-// grouped aggregation (merged host-side through the group-merge barrier),
-// and a hash join (build partitions merged at the join barrier, probe
-// embarrassingly parallel). The join runs on its own build/probe table
-// pair; the others on the generic table t.
+// low-cardinality and a high-cardinality grouped aggregation (merged by the
+// guest at the group barrier; the second groups the probe table's fk, which
+// has about rows/4 distinct values, so the barrier does real work), and a
+// hash join (build partitions merged at the same barrier, probe
+// embarrassingly parallel). Queries marked pair run on the build/probe
+// table pair; the others on the generic table t.
 var scalingQueries = []struct {
 	name string
-	join bool
+	pair bool
 	src  string
 }{
 	{"scaling", false, "SELECT COUNT(*), SUM(i0), MIN(i1), MAX(i1) FROM t WHERE i0 < 0"},
 	{"scaling-group", false, "SELECT g0, COUNT(*), SUM(i0), MIN(i1), MAX(i1) FROM t GROUP BY g0"},
+	{"scaling-group-highcard", true, "SELECT fk, COUNT(*), SUM(payload) FROM probe GROUP BY fk"},
 	{"scaling-join", true, "SELECT COUNT(*) FROM build, probe WHERE build.pk = probe.fk"},
 }
 
@@ -58,7 +61,7 @@ func Scaling(o Options) ([]Record, error) {
 	var recs []Record
 	for _, qry := range scalingQueries {
 		qcat := cat
-		if qry.join {
+		if qry.pair {
 			qcat = joinCat
 		}
 		stmt, err := sql.ParseSelect(qry.src)

@@ -39,9 +39,9 @@ const (
 	// SpanMorsel prefixes per-morsel spans, recorded only when Trace.Detail
 	// is set (they are numerous).
 	SpanMorsel = "morsel:"
-	// SpanMerge covers the host-side merge barrier of parallel execution:
-	// draining per-worker partial group states (or sorted runs), folding
-	// them, and feeding the result into the primary worker.
+	// SpanMerge covers one merge barrier of parallel execution: draining
+	// per-worker group or join tables (or sorted runs) and merging them into
+	// the primary worker. A query records one span per barrier.
 	SpanMerge = "merge"
 	// SpanAdmission covers the time a request spent waiting in the query
 	// service's bounded admission queue before execution began.
@@ -80,9 +80,9 @@ const (
 	// cached module currently dispatches to on a hit).
 	EvPlanCache = "plan-cache"
 	// EvGroupMerge marks the group-by pipeline barrier of parallel execution:
-	// every worker's partial groups were drained, folded per key, and fed
-	// into the primary worker (args: groups — distinct merged groups,
-	// records — partial records drained, workers).
+	// every secondary worker's partial groups were drained and merged into
+	// the primary worker's table by the guest (args: records — partial group
+	// records drained from secondary workers, workers).
 	EvGroupMerge = "group-merge"
 	// EvSortMerge marks the order-by barrier: per-worker sorted runs were
 	// k-way merged into the primary worker's array (args: tuples, workers).
@@ -110,8 +110,10 @@ const (
 	// worker pool vs. pipelines that fell back to serial execution.
 	CtrPipelinesParallel = "pipelines_parallel"
 	CtrPipelinesSerial   = "pipelines_serial"
-	// CtrGroupsMerged counts the distinct groups the host folded at the
-	// parallel group-by barrier (0 when no group merge ran).
+	// CtrGroupsMerged counts the partial group records drained from
+	// secondary workers and merged by the guest at the parallel group-by
+	// barrier (0 when no group merge ran) — the quantity EvJoinMerge reports
+	// as records for a join barrier.
 	CtrGroupsMerged = "groups_merged"
 	// CtrJoinPartitionsMerged counts the secondary-worker build partitions
 	// drained at parallel join barriers (0 when no join merge ran).

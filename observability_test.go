@@ -138,6 +138,23 @@ func TestExplainAnalyzeJoin(t *testing.T) {
 	}
 }
 
+// TestExplainAnalyzeMergeBarrier: a parallel GROUP BY spends time in its
+// merge barrier, and EXPLAIN ANALYZE must list that time as a phase.
+func TestExplainAnalyzeMergeBarrier(t *testing.T) {
+	db := obsDB(t, 20000)
+	out, err := db.ExplainAnalyze("SELECT b, COUNT(*), SUM(a) FROM t GROUP BY b",
+		wasmdb.WithParallelism(2), wasmdb.WithMorselRows(1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "workers            2") {
+		t.Fatalf("query did not run with 2 workers:\n%s", out)
+	}
+	if !strings.Contains(out, "\n  merge barrier ") {
+		t.Errorf("EXPLAIN ANALYZE output has no merge barrier phase:\n%s", out)
+	}
+}
+
 // TestTraceEventExportFromQuery drives the public WithTrace +
 // WriteTraceEvents path and verifies the output is trace_event JSON of the
 // shape Perfetto loads.

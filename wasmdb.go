@@ -474,8 +474,9 @@ type Stats struct {
 	// ("limit", "float-sum-order", "unmergeable-pipeline-state", ...) and is
 	// empty when the query parallelized or never asked to.
 	SerialFallback string
-	// GroupsMerged counts the distinct groups the host folded at the
-	// parallel group-by barrier (0 when no group merge ran).
+	// GroupsMerged counts the partial group records drained from secondary
+	// workers and merged into the primary at the parallel group-by barrier
+	// (0 when no group merge ran).
 	GroupsMerged int
 	// JoinPartitionsMerged counts the secondary-worker build partitions
 	// drained at parallel join barriers (0 when no join merge ran).
