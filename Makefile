@@ -23,7 +23,10 @@ verify: lint-layers
 # risk an import cycle. Fails if any wasmdb-internal import appears.
 # internal/plancache sits above core and engine and below the public API:
 # it may import only core, engine, and obs, and nothing under core or
-# engine may import it back.
+# engine may import it back. Per-query facts are read off a trace in one
+# place, obs.NewQueryProfile: non-test code in the API, core, server,
+# experiments, plancache, autopilot and cmd may not call Trace.Dur,
+# Trace.Value on an executor counter, or Trace.Events.
 lint-layers:
 	@if grep -n '"wasmdb/' internal/obs/*.go; then \
 		echo "lint-layers: internal/obs must not import other wasmdb packages" >&2; \
@@ -49,7 +52,13 @@ lint-layers:
 		echo "lint-layers: internal/autopilot may import only plan, plancache, and obs" >&2; \
 		exit 1; \
 	fi
-	@echo "lint-layers: ok (internal/obs imports stdlib only; plancache between core/engine and the API; server above the API; autopilot beside the planner)"
+	@if grep -n --exclude='*_test.go' -e '\.Dur(obs\.' -e '\.Value(obs\.Ctr' -e '\.Events()' \
+		*.go internal/core/*.go internal/server/*.go internal/experiments/*.go \
+		internal/plancache/*.go internal/autopilot/*.go cmd/*/*.go; then \
+		echo "lint-layers: only internal/obs reads per-query facts off a trace; use obs.NewQueryProfile" >&2; \
+		exit 1; \
+	fi
+	@echo "lint-layers: ok (internal/obs imports stdlib only; plancache between core/engine and the API; server above the API; autopilot beside the planner; only obs.QueryProfile reads a trace)"
 
 # bench-smoke runs one micro-benchmark per backend at a small scale, the
 # 1/2/4-worker scaling experiment, the plan-cache cold/warm experiment, the

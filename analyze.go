@@ -2,194 +2,112 @@ package wasmdb
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
-
-	"wasmdb/internal/obs"
 )
 
 // ExplainAnalyze executes the query and returns the physical plan annotated
-// with the observed execution profile: per-phase timings, per-pipeline
-// execution times, the adaptive tier-switch timeline (which function was
-// upgraded at which morsel), and the resource counters. Options apply as in
-// Query.
+// with its QueryProfile: the disjoint per-layer timings with their total and
+// the uncovered remainder, per-pipeline execution times, the adaptive
+// tier-switch timeline (which function was upgraded at which morsel), and
+// the resource counters. Options apply as in Query.
 func (db *DB) ExplainAnalyze(src string, opts ...Option) (string, error) {
 	planText, err := db.Explain(src)
 	if err != nil {
 		return "", err
 	}
-	tr := NewTrace()
-	res, err := db.Query(src, append(opts[:len(opts):len(opts)], WithTrace(tr))...)
+	res, err := db.Query(src, append(opts[:len(opts):len(opts)], WithTrace(NewTrace()))...)
 	if err != nil {
 		return "", err
 	}
-	return renderAnalyze(planText, tr, res.Stats, res.NumRows()), nil
+	return renderAnalyze(planText, res.Stats.Backend, &res.Stats.QueryProfile), nil
 }
 
-func renderAnalyze(planText string, tr *Trace, st Stats, rows int) string {
+func renderAnalyze(planText string, backend Backend, p *QueryProfile) string {
 	var sb strings.Builder
 	sb.WriteString(strings.TrimRight(planText, "\n"))
 	sb.WriteString("\n\nphases:\n")
-	phases := []struct{ label, span string }{
-		{"parse", obs.SpanParse},
-		{"sema", obs.SpanSema},
-		{"plan", obs.SpanPlan},
-		{"codegen", obs.SpanCodegen},
-		{"decode", obs.SpanDecode},
-		{"validate", obs.SpanValidate},
-		{"liftoff compile", obs.SpanLiftoff},
-		{"turbofan compile", obs.SpanTurbofan},
-		{"rewire", obs.SpanRewire},
-		{"instantiate", obs.SpanInstantiate},
-		{"execute", obs.SpanExecute},
-		{"merge barrier", obs.SpanMerge},
-	}
-	for _, p := range phases {
-		if d := tr.Dur(p.span); d > 0 {
-			fmt.Fprintf(&sb, "  %-18s %s\n", p.label, fmtAnalyzeDur(d))
+	for _, l := range p.Layers() {
+		if *l.Dur > 0 {
+			fmt.Fprintf(&sb, "  %-18s %s\n", l.Name, fmtAnalyzeDur(*l.Dur))
 		}
+	}
+	fmt.Fprintf(&sb, "  %-18s %s\n", "total", fmtAnalyzeDur(p.Total))
+	fmt.Fprintf(&sb, "  %-18s %s\n", "other", fmtAnalyzeDur(p.Other))
+	if p.Turbofan > 0 {
+		fmt.Fprintf(&sb, "  %-18s %s (background, not in total)\n", "turbofan compile", fmtAnalyzeDur(p.Turbofan))
 	}
 
 	// Per-pipeline execution breakdown, in recorded order.
-	var pipes []obs.Span
-	for _, sp := range tr.Spans() {
-		if strings.HasPrefix(sp.Name, obs.SpanPipeline) {
-			pipes = append(pipes, sp)
-		}
-	}
-	if len(pipes) > 0 {
+	if len(p.PipelineSpans) > 0 {
 		sb.WriteString("\npipelines:\n")
-		for _, sp := range pipes {
-			name := strings.TrimPrefix(sp.Name, obs.SpanPipeline)
-			rowsArg, workersArg := int64(-1), int64(0)
-			for _, a := range sp.Args {
-				switch a.Key {
-				case "rows":
-					rowsArg = a.Val
-				case "workers":
-					workersArg = a.Val
-				}
-			}
+		for _, ps := range p.PipelineSpans {
 			par := ""
-			if workersArg > 1 {
-				par = fmt.Sprintf("  [%d workers]", workersArg)
+			if ps.Workers > 1 {
+				par = fmt.Sprintf("  [%d workers]", ps.Workers)
 			}
-			if rowsArg >= 0 {
-				fmt.Fprintf(&sb, "  %-18s %-10s %d rows%s\n", name, fmtAnalyzeDur(sp.Dur), rowsArg, par)
+			if ps.Rows >= 0 {
+				fmt.Fprintf(&sb, "  %-18s %-10s %d rows%s\n", ps.Name, fmtAnalyzeDur(ps.Dur), ps.Rows, par)
 			} else {
-				fmt.Fprintf(&sb, "  %-18s %s%s\n", name, fmtAnalyzeDur(sp.Dur), par)
+				fmt.Fprintf(&sb, "  %-18s %s%s\n", ps.Name, fmtAnalyzeDur(ps.Dur), par)
 			}
 		}
 	}
 
 	// Tier timeline: background publishes (tier-up) and first optimized
 	// dispatches (tier-switch), ordered by time.
-	var tiers []obs.Event
-	for _, ev := range tr.Events() {
-		if ev.Name == obs.EvTierUp || ev.Name == obs.EvTierSwitch {
-			tiers = append(tiers, ev)
-		}
-	}
-	if len(tiers) > 0 {
-		sort.Slice(tiers, func(i, j int) bool { return tiers[i].Time.Before(tiers[j].Time) })
+	if len(p.Tiers) > 0 {
 		sb.WriteString("\ntier timeline:\n")
-		for _, ev := range tiers {
-			var fn, morsel int64
-			for _, a := range ev.Args {
-				switch a.Key {
-				case "func":
-					fn = a.Val
-				case "morsel":
-					morsel = a.Val
-				}
-			}
+		for _, te := range p.Tiers {
 			verb := "optimized code published"
-			if ev.Name == obs.EvTierSwitch {
+			if te.Switch {
 				verb = "first optimized call"
 			}
-			fmt.Fprintf(&sb, "  +%-9s func %-3d %s (at morsel %d)\n",
-				fmtAnalyzeDur(ev.Time.Sub(tr.StartTime())), fn, verb, morsel)
+			fmt.Fprintf(&sb, "  +%-9s func %-3d %s (at morsel %d)\n", fmtAnalyzeDur(te.At), te.Func, verb, te.Morsel)
 		}
 	}
 
 	sb.WriteString("\ntotals:\n")
-	fmt.Fprintf(&sb, "  backend            %s\n", st.Backend)
+	fmt.Fprintf(&sb, "  backend            %s\n", backend)
 	// The autopilot's routing decision, when the query ran with backend auto.
-	for _, ev := range tr.Events() {
-		if ev.Name != obs.EvAutopilot {
-			continue
-		}
-		var choice, reason string
-		var workers int64
-		for _, a := range ev.Args {
-			switch a.Key {
-			case "choice":
-				choice = a.Str
-			case "reason":
-				reason = a.Str
-			case "workers":
-				workers = a.Val
-			}
-		}
-		fmt.Fprintf(&sb, "  auto               %s, %d worker(s) — %s\n", choice, workers, reason)
+	if p.Auto != "" {
+		fmt.Fprintf(&sb, "  auto               %s, %d worker(s) — %s\n", p.Auto, p.AutoWorkers, p.AutoReason)
 	}
-	fmt.Fprintf(&sb, "  rows               %d\n", rows)
-	fmt.Fprintf(&sb, "  morsels            %d liftoff / %d turbofan\n", st.MorselsLiftoff, st.MorselsTurbofan)
-	if st.ModuleBytes > 0 {
-		fmt.Fprintf(&sb, "  module             %d bytes\n", st.ModuleBytes)
+	fmt.Fprintf(&sb, "  rows               %d\n", p.Rows)
+	fmt.Fprintf(&sb, "  morsels            %d liftoff / %d turbofan\n", p.MorselsLiftoff, p.MorselsTurbofan)
+	if p.ModuleBytes > 0 {
+		fmt.Fprintf(&sb, "  module             %d bytes\n", p.ModuleBytes)
 	}
-	if st.TurbofanFailed > 0 {
-		fmt.Fprintf(&sb, "  turbofan failures  %d\n", st.TurbofanFailed)
+	if p.TurbofanFailed > 0 {
+		fmt.Fprintf(&sb, "  turbofan failures  %d\n", p.TurbofanFailed)
 	}
-	if st.FuelUsed > 0 {
-		fmt.Fprintf(&sb, "  fuel used          %d\n", st.FuelUsed)
+	if p.FuelUsed > 0 {
+		fmt.Fprintf(&sb, "  fuel used          %d\n", p.FuelUsed)
 	}
-	if st.PeakMemBytes > 0 {
-		fmt.Fprintf(&sb, "  peak memory        %d KiB\n", st.PeakMemBytes/1024)
+	if p.PeakMemBytes > 0 {
+		fmt.Fprintf(&sb, "  peak memory        %d KiB\n", p.PeakMemBytes/1024)
 	}
-	if st.Workers > 1 {
+	if p.Workers > 1 {
 		fmt.Fprintf(&sb, "  workers            %d (%d pipelines parallel, %d serial)\n",
-			st.Workers, st.PipelinesParallel, st.PipelinesSerial)
+			p.Workers, p.PipelinesParallel, p.PipelinesSerial)
 	}
-	if st.GroupsMerged > 0 {
-		fmt.Fprintf(&sb, "  groups merged      %d\n", st.GroupsMerged)
+	if p.GroupsMerged > 0 {
+		fmt.Fprintf(&sb, "  groups merged      %d\n", p.GroupsMerged)
 	}
-	if st.JoinPartitionsMerged > 0 {
-		fmt.Fprintf(&sb, "  join partitions    %d merged\n", st.JoinPartitionsMerged)
+	if p.JoinPartitionsMerged > 0 {
+		fmt.Fprintf(&sb, "  join partitions    %d merged\n", p.JoinPartitionsMerged)
 	}
 	// Plan-cache outcome: whether this execution reused a cached module, and
 	// which tier the module dispatched from the first morsel on.
-	for _, ev := range tr.Events() {
-		if ev.Name != obs.EvPlanCache {
-			continue
-		}
-		var result, fp, tier string
-		for _, a := range ev.Args {
-			switch a.Key {
-			case "result":
-				result = a.Str
-			case "fingerprint":
-				fp = a.Str
-			case "tier":
-				tier = a.Str
-			}
-		}
-		if result == "hit" {
-			fmt.Fprintf(&sb, "  plan cache         hit (fingerprint=%s, tier=%s)\n", fp, tier)
-		} else {
-			fmt.Fprintf(&sb, "  plan cache         miss (fingerprint=%s)\n", fp)
-		}
+	switch p.PlanCache {
+	case "hit":
+		fmt.Fprintf(&sb, "  plan cache         hit (fingerprint=%s, tier=%s)\n", p.Fingerprint, p.CachedTier)
+	case "miss":
+		fmt.Fprintf(&sb, "  plan cache         miss (fingerprint=%s)\n", p.Fingerprint)
 	}
 	// A query that requested parallelism but could not use it says why.
-	for _, ev := range tr.Events() {
-		if ev.Name == obs.EvSerialFallback {
-			for _, a := range ev.Args {
-				if a.Key == "reason" {
-					fmt.Fprintf(&sb, "  serial fallback    %s\n", a.Str)
-				}
-			}
-		}
+	if p.SerialFallback != "" {
+		fmt.Fprintf(&sb, "  serial fallback    %s\n", p.SerialFallback)
 	}
 	return sb.String()
 }

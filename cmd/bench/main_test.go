@@ -41,6 +41,9 @@ func TestSmokeEmitsValidJSON(t *testing.T) {
 		if r.ExecNs <= 0 {
 			t.Errorf("backend %s: exec_ns = %d, want > 0", r.Backend, r.ExecNs)
 		}
+		if r.GOMAXPROCS <= 0 || r.NumCPU <= 0 {
+			t.Errorf("backend %s: gomaxprocs = %d, num_cpu = %d, want both > 0", r.Backend, r.GOMAXPROCS, r.NumCPU)
+		}
 		seen[r.Backend] = true
 		// The compiling architectures must report compile phases.
 		if r.Backend == "mutable" || r.Backend == "hyper" {
@@ -80,10 +83,10 @@ func TestPlanCacheBenchEmitsValidJSON(t *testing.T) {
 		byName[r.Name] = r
 	}
 	cold, warm := byName["plancache:cold"], byName["plancache:warm"]
-	if cold.TranslateNs <= 0 || cold.LiftoffNs <= 0 {
+	if cold.TranslateNs <= 0 || cold.Liftoff <= 0 {
 		t.Errorf("cold record missing compile phases: %+v", cold)
 	}
-	if warm.LiftoffNs != 0 || warm.TurbofanNs != 0 {
+	if warm.Liftoff != 0 || warm.Turbofan != 0 {
 		t.Errorf("warm record reports compile time: %+v", warm)
 	}
 	if warm.MorselsLiftoff != 0 || warm.MorselsTurbofan == 0 {

@@ -246,6 +246,11 @@ loop:
 			break loop
 		case raw, ok := <-lines:
 			if !ok {
+				// The reader also stops on cancellation, so a closed channel
+				// can win the race against ctx.Done.
+				if ctx.Err() != nil {
+					fmt.Fprintln(out, "\ninterrupted")
+				}
 				break loop
 			}
 			line := strings.TrimSpace(raw)
@@ -443,7 +448,7 @@ func (sh *shell) runSQL(src string) {
 	// against -slow, the flight recorder behind \flightrec, and the
 	// structured query log when -querylog is set.
 	opts = append(opts, wasmdb.WithQueryLog(func(rec wasmdb.QueryLogRecord) {
-		if sh.slow > 0 && rec.TotalNs >= sh.slow.Nanoseconds() {
+		if sh.slow > 0 && rec.Total >= sh.slow {
 			rec.Slow = true
 		}
 		sh.frec.Observe(rec)

@@ -91,26 +91,13 @@ type ExecOptions struct {
 	Params []types.Value
 }
 
-// ExecStats reports where time went, phase by phase (the paper's Fig. 10
-// breakdown). The fields are flat — one struct instead of nested
-// engine.CompileStats — and agree with the spans and counters recorded on
-// the query trace, which is the single source of truth the public
-// wasmdb.Stats is also derived from.
+// ExecStats holds the executor's counters for one query — morsels per tier,
+// memory, parallelism, merge work. It carries no durations: the spans on
+// ExecOptions.Trace are the only timing source, and obs.NewQueryProfile
+// reads them (with these counters, mirrored onto the trace) into the
+// per-layer profile every stats surface shows. Untraced callers still get
+// the counters here.
 type ExecStats struct {
-	// Engine compilation phases.
-	Decode   time.Duration
-	Validate time.Duration
-	Liftoff  time.Duration
-	// Turbofan is the optimizing-tier compile time. Under TierAdaptive it is
-	// measured on the background goroutine and is valid once optimization
-	// finished (WaitOptimized or DrainBackground).
-	Turbofan time.Duration
-	// Rewire covers mapping the referenced columns into linear memory.
-	Rewire time.Duration
-	// Init covers instantiation, column rewiring, and q_init.
-	Init time.Duration
-	// Run covers pipeline execution.
-	Run time.Duration
 	// MorselsLiftoff and MorselsTurbofan count exported calls served by
 	// each tier — the observable adaptive switch.
 	MorselsLiftoff  uint64
@@ -327,7 +314,6 @@ func Execute(cq *CompiledQuery, q *sema.Query, eng *engine.Engine, opt ExecOptio
 	// module (background tier-up publishes optimized code to all of them at
 	// once). Worker 0 is the primary: serial pipelines and run-once output
 	// pipelines execute on it.
-	t0 := time.Now()
 	spRewire := tr.Begin(obs.SpanRewire)
 	ws := make([]*worker, workers)
 	mapped := 0
@@ -365,7 +351,6 @@ func Execute(cq *CompiledQuery, q *sema.Query, eng *engine.Engine, opt ExecOptio
 		ws[wi] = w
 	}
 	spRewire.End(obs.I("columns", int64(mapped)), obs.I("workers", int64(workers)))
-	stats.Rewire = time.Since(t0)
 
 	primary := ws[0]
 
@@ -446,7 +431,6 @@ func Execute(cq *CompiledQuery, q *sema.Query, eng *engine.Engine, opt ExecOptio
 		}
 	}
 	spInst.End(obs.I("workers", int64(workers)))
-	stats.Init = time.Since(t0)
 
 	if opt.WaitOptimized {
 		// A failed background compile is not a query error: affected
@@ -693,7 +677,6 @@ func Execute(cq *CompiledQuery, q *sema.Query, eng *engine.Engine, opt ExecOptio
 		}
 	}
 
-	t1 := time.Now()
 	spRun := tr.Begin(obs.SpanExecute)
 	aggMerged, groupMerged, sortMerged := false, false, false
 	for pi, p := range cq.Pipelines {
@@ -835,7 +818,6 @@ func Execute(cq *CompiledQuery, q *sema.Query, eng *engine.Engine, opt ExecOptio
 		res.Rows = append(res.Rows, w.rows...)
 	}
 	spRun.End()
-	stats.Run = time.Since(t1)
 
 	if opt.DrainBackground {
 		// Complete the tier-up timeline (and Turbofan timing) without having
@@ -844,17 +826,9 @@ func Execute(cq *CompiledQuery, q *sema.Query, eng *engine.Engine, opt ExecOptio
 		_ = mod.WaitOptimized()
 	}
 
-	// Fold the compile-side stats and runtime counters into the flat struct,
-	// and mirror them onto the trace and the process-wide metrics.
-	es := mod.Stats()
-	if opt.Precompiled == nil {
-		// On a plan-cache hit the module's compile phases belong to the
-		// execution that populated the cache; this one paid nothing and
-		// reports nothing.
-		stats.Decode, stats.Validate = es.Decode, es.Validate
-		stats.Liftoff, stats.Turbofan = es.Liftoff, es.Turbofan
-	}
-	stats.TurbofanFailed = es.TurbofanFailed
+	// Fold the runtime counters into the flat struct, and mirror them onto
+	// the trace and the process-wide metrics.
+	stats.TurbofanFailed = mod.Stats().TurbofanFailed
 	for _, w := range ws {
 		lo, tf := w.inst.TierCalls()
 		stats.MorselsLiftoff += lo
@@ -879,7 +853,6 @@ func Execute(cq *CompiledQuery, q *sema.Query, eng *engine.Engine, opt ExecOptio
 		tr.Set(obs.CtrModuleBytes, int64(stats.ModuleBytes))
 		tr.Set(obs.CtrFuelUsed, stats.FuelUsed)
 		tr.Set(obs.CtrPeakMemBytes, int64(stats.PeakMemBytes))
-		tr.Set(obs.CtrResultRows, int64(len(res.Rows)))
 		tr.Set(obs.CtrWorkers, int64(stats.Workers))
 		tr.Set(obs.CtrPipelinesParallel, int64(stats.PipelinesParallel))
 		tr.Set(obs.CtrPipelinesSerial, int64(stats.PipelinesSerial))

@@ -149,17 +149,17 @@ func AblationTiers(o Options, out io.Writer) error {
 	}{{"short query (small data)", catSmall}, {"long query (large data)", catBig}} {
 		fmt.Fprintf(out, "%s:\n", c.name)
 		for _, sys := range []string{"liftoff", "turbofan", "adaptive"} {
-			tm, err := RunOn(c.cat, tpch.Queries["Q6"], sys, true)
+			prof, err := RunOn(c.cat, tpch.Queries["Q6"], sys, true)
 			if err != nil {
 				return err
 			}
-			compile := tm.Liftoff
+			compile := prof.Liftoff
 			if sys == "turbofan" {
-				compile = tm.Turbofan
+				compile = prof.Turbofan
 			}
 			fmt.Fprintf(out, "  %-9s compile=%-10s execute=%-10s total=%-10s morsels lo/tf=%d/%d\n",
-				sys, fmtDur(compile), fmtDur(tm.Execute), fmtDur(compile+tm.Execute+tm.Translate),
-				tm.MorselsLo, tm.MorselsTf)
+				sys, fmtDur(compile), fmtDur(prof.ExecuteTime()), fmtDur(prof.Total),
+				prof.MorselsLiftoff, prof.MorselsTurbofan)
 		}
 	}
 	return nil

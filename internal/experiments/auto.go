@@ -64,22 +64,6 @@ func Auto(o Options) ([]Record, error) {
 		}
 		return best, nil
 	}
-	rec := func(name, backend string, st wasmdb.Stats) Record {
-		return Record{
-			Name:            name,
-			Backend:         backend,
-			TranslateNs:     st.Translate.Nanoseconds(),
-			LiftoffNs:       st.Liftoff.Nanoseconds(),
-			TurbofanNs:      st.Turbofan.Nanoseconds(),
-			ExecNs:          st.Execute.Nanoseconds(),
-			MorselsLiftoff:  st.MorselsLiftoff,
-			MorselsTurbofan: st.MorselsTurbofan,
-			Workers:         st.Workers,
-			Fallback:        st.SerialFallback,
-			Choice:          st.Auto,
-		}
-	}
-
 	var recs []Record
 	for _, w := range []struct {
 		name, sql   string
@@ -95,7 +79,7 @@ func Auto(o Options) ([]Record, error) {
 			if err != nil {
 				return nil, fmt.Errorf("auto:%s on %s: %w", w.name, m.name, err)
 			}
-			recs = append(recs, rec("auto:"+w.name+":"+m.name, m.name, st))
+			recs = append(recs, newRecord("auto:"+w.name+":"+m.name, m.name, 0, st.QueryProfile))
 			if m.compiled == w.wantAgainst {
 				if e := st.Execute.Nanoseconds(); bestClass == 0 || e < bestClass {
 					bestClass = e
@@ -120,14 +104,14 @@ func Auto(o Options) ([]Record, error) {
 				cold = res.Stats
 			}
 		}
-		recs = append(recs, rec("auto:"+w.name+":auto-cold", "auto", cold))
+		recs = append(recs, newRecord("auto:"+w.name+":auto-cold", "auto", 0, cold.QueryProfile))
 
 		// Warm: decisions see the feedback the cold runs stored.
 		warm, err := minExec(w.sql, wasmdb.WithAutoTuning())
 		if err != nil {
 			return nil, fmt.Errorf("auto:%s warm: %w", w.name, err)
 		}
-		recs = append(recs, rec("auto:"+w.name+":auto-warm", "auto", warm))
+		recs = append(recs, newRecord("auto:"+w.name+":auto-warm", "auto", 0, warm.QueryProfile))
 
 		if warm.Auto != w.wantChoice {
 			return nil, fmt.Errorf("auto:%s: warm decision %q, want %q", w.name, warm.Auto, w.wantChoice)
@@ -135,7 +119,7 @@ func Auto(o Options) ([]Record, error) {
 		// Crossover check on execution time. The 100µs floor keeps scheduler
 		// noise on sub-millisecond runs from failing a comparison between two
 		// executions of the same machine code.
-		if limit := bestClass+bestClass/10+100_000; warm.Execute.Nanoseconds() > limit {
+		if limit := bestClass + bestClass/10 + 100_000; warm.Execute.Nanoseconds() > limit {
 			return nil, fmt.Errorf("auto:%s: warm auto exec %dns exceeds best-in-class %dns by >10%%",
 				w.name, warm.Execute.Nanoseconds(), bestClass)
 		}
@@ -158,8 +142,8 @@ func Auto(o Options) ([]Record, error) {
 		return nil, fmt.Errorf("auto:mispredict warm: %w", err)
 	}
 	recs = append(recs,
-		rec("auto:mispredict:cold", "auto", coldRes.Stats),
-		rec("auto:mispredict:warm", "auto", warmRes.Stats))
+		newRecord("auto:mispredict:cold", "auto", 0, coldRes.Stats.QueryProfile),
+		newRecord("auto:mispredict:warm", "auto", 0, warmRes.Stats.QueryProfile))
 	if coldRes.Stats.Auto == warmRes.Stats.Auto {
 		return nil, fmt.Errorf("auto:mispredict: warm decision %q did not change from cold", warmRes.Stats.Auto)
 	}

@@ -25,6 +25,7 @@ import (
 	"wasmdb/internal/core"
 	"wasmdb/internal/engine"
 	"wasmdb/internal/harness"
+	"wasmdb/internal/obs"
 	"wasmdb/internal/plan"
 	"wasmdb/internal/sema"
 	"wasmdb/internal/sql"
@@ -72,47 +73,50 @@ func (o *Options) has(sys string) bool {
 	return false
 }
 
-// Timings is a full phase breakdown of one run.
-type Timings struct {
-	Translate time.Duration
-	Liftoff   time.Duration
-	Turbofan  time.Duration
-	Execute   time.Duration
-	MorselsLo uint64
-	MorselsTf uint64
+// RunOn executes src against cat on the named system and returns its
+// profile, read from the trace the run records. adaptive=true runs the wasm
+// backends in adaptive mode (Fig. 10 and the tier ablation); otherwise
+// execution waits for optimized code.
+func RunOn(cat *catalog.Catalog, src, system string, adaptive bool) (obs.QueryProfile, error) {
+	tr := obs.NewTrace()
+	start := time.Now()
+	if err := runTraced(cat, src, system, adaptive, tr); err != nil {
+		return obs.QueryProfile{}, err
+	}
+	return obs.NewQueryProfile(tr, time.Since(start)), nil
 }
 
-// RunOn executes src against cat on the named system and returns the phase
-// breakdown. adaptive=true runs the wasm backends in adaptive mode (Fig. 10
-// and the tier ablation); otherwise execution waits for optimized code.
-func RunOn(cat *catalog.Catalog, src, system string, adaptive bool) (Timings, error) {
-	var tm Timings
+func runTraced(cat *catalog.Catalog, src, system string, adaptive bool, tr *obs.Trace) error {
+	sp := tr.Begin(obs.SpanParse)
 	stmt, err := sql.ParseSelect(src)
+	sp.End()
 	if err != nil {
-		return tm, err
+		return err
 	}
+	sp = tr.Begin(obs.SpanSema)
 	q, err := sema.Analyze(stmt, cat)
+	sp.End()
 	if err != nil {
-		return tm, err
+		return err
 	}
+	sp = tr.Begin(obs.SpanPlan)
 	p, err := plan.Build(q)
+	sp.End()
 	if err != nil {
-		return tm, err
+		return err
 	}
 
 	switch system {
 	case "volcano":
-		t0 := time.Now()
-		if _, _, err := volcano.Run(q, p); err != nil {
-			return tm, err
-		}
-		tm.Execute = time.Since(t0)
+		sp = tr.Begin(obs.SpanExecute)
+		_, _, err = volcano.Run(q, p)
+		sp.End()
+		return err
 	case "vectorized":
-		t0 := time.Now()
-		if _, _, _, err := vectorized.Run(q, p); err != nil {
-			return tm, err
-		}
-		tm.Execute = time.Since(t0)
+		sp = tr.Begin(obs.SpanExecute)
+		_, _, _, err = vectorized.Run(q, p)
+		sp.End()
+		return err
 	case "mutable", "hyper", "liftoff", "turbofan", "adaptive":
 		style := core.Style{}
 		cfg := engine.Config{Tier: engine.TierTurbofan}
@@ -137,44 +141,26 @@ func RunOn(cat *catalog.Catalog, src, system string, adaptive bool) (Timings, er
 				wait = false
 			}
 		}
-		t0 := time.Now()
+		sp = tr.Begin(obs.SpanCodegen)
 		cq, err := core.CompileStyled(q, p, style)
+		sp.End()
 		if err != nil {
-			return tm, err
+			return err
 		}
-		tm.Translate = time.Since(t0)
-		t1 := time.Now()
-		res, st, err := core.Execute(cq, q, engine.New(cfg), core.ExecOptions{WaitOptimized: wait})
-		if err != nil {
-			return tm, err
-		}
-		_ = res
-		tm.Execute = time.Since(t1)
-		tm.Liftoff = st.Liftoff
-		tm.Turbofan = st.Turbofan
-		tm.MorselsLo = st.MorselsLiftoff
-		tm.MorselsTf = st.MorselsTurbofan
-		if wait {
-			// Compile happened before execution; subtract it from Execute.
-			tm.Execute -= st.Turbofan + st.Liftoff
-			if tm.Execute < 0 {
-				tm.Execute = 0
-			}
-		}
-	default:
-		return tm, fmt.Errorf("experiments: unknown system %q", system)
+		_, _, err = core.Execute(cq, q, engine.New(cfg), core.ExecOptions{WaitOptimized: wait, Trace: tr})
+		return err
 	}
-	return tm, nil
+	return fmt.Errorf("experiments: unknown system %q", system)
 }
 
 // execTime measures median execution time of src on system.
 func execTime(o *Options, cat *catalog.Catalog, src, system string) time.Duration {
 	return harness.Median(o.Reps, func() time.Duration {
-		tm, err := RunOn(cat, src, system, false)
+		prof, err := RunOn(cat, src, system, false)
 		if err != nil {
 			panic(fmt.Sprintf("%s on %s: %v", system, src, err))
 		}
-		return tm.Execute
+		return prof.ExecuteTime()
 	})
 }
 
@@ -469,24 +455,24 @@ func Fig10(o Options, out io.Writer) error {
 			if !o.has(sys) {
 				continue
 			}
-			tm, err := RunOn(cat, src, sys, true) // adaptive: the architecture under test
+			prof, err := RunOn(cat, src, sys, true) // adaptive: the architecture under test
 			if err != nil {
 				return fmt.Errorf("%s on %s: %w", id, sys, err)
 			}
 			fmt.Fprintf(out, "%-5s%-11s%12s%12s%12s%12s%9d/%d\n",
-				id, sys, fmtDur(tm.Translate), fmtDur(tm.Liftoff), fmtDur(tm.Turbofan),
-				fmtDur(tm.Execute), tm.MorselsLo, tm.MorselsTf)
+				id, sys, fmtDur(prof.TranslateTime()), fmtDur(prof.Liftoff), fmtDur(prof.Turbofan),
+				fmtDur(prof.ExecuteTime()), prof.MorselsLiftoff, prof.MorselsTurbofan)
 		}
 		for _, sys := range []string{"vectorized", "volcano"} {
 			if !o.has(sys) {
 				continue
 			}
-			tm, err := RunOn(cat, src, sys, false)
+			prof, err := RunOn(cat, src, sys, false)
 			if err != nil {
 				return fmt.Errorf("%s on %s: %w", id, sys, err)
 			}
 			fmt.Fprintf(out, "%-5s%-11s%12s%12s%12s%12s%14s\n",
-				id, sys, "-", "-", "-", fmtDur(tm.Execute), "-")
+				id, sys, "-", "-", "-", fmtDur(prof.ExecuteTime()), "-")
 		}
 	}
 	return nil
@@ -502,19 +488,12 @@ func Fig1(o Options, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "\n== Fig 1: compile vs execute, TPC-H Q1 (SF %.2f) ==\n", o.SF)
 	for _, sys := range []string{"liftoff", "turbofan", "adaptive", "hyper"} {
-		tm, err := RunOn(cat, tpch.Queries["Q1"], sys, true)
+		prof, err := RunOn(cat, tpch.Queries["Q1"], sys, true)
 		if err != nil {
 			return err
 		}
-		total := tm.Translate + tm.Execute
-		if sys == "turbofan" {
-			total += tm.Turbofan
-		}
-		if sys == "liftoff" {
-			total += tm.Liftoff
-		}
-		fmt.Fprintf(out, "%-10s translate=%-10s liftoff=%-10s turbofan=%-10s execute=%-10s latency≈%s\n",
-			sys, fmtDur(tm.Translate), fmtDur(tm.Liftoff), fmtDur(tm.Turbofan), fmtDur(tm.Execute), fmtDur(total))
+		fmt.Fprintf(out, "%-10s translate=%-10s liftoff=%-10s turbofan=%-10s execute=%-10s latency=%s\n",
+			sys, fmtDur(prof.TranslateTime()), fmtDur(prof.Liftoff), fmtDur(prof.Turbofan), fmtDur(prof.ExecuteTime()), fmtDur(prof.Total))
 	}
 	return nil
 }

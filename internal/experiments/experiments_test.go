@@ -21,11 +21,11 @@ func TestRunOnAllSystemsAgree(t *testing.T) {
 	}
 	src := "SELECT COUNT(*) FROM t WHERE i0 < 0"
 	for _, sys := range append(DefaultSystems, "liftoff", "turbofan", "adaptive") {
-		tm, err := RunOn(cat, src, sys, false)
+		prof, err := RunOn(cat, src, sys, false)
 		if err != nil {
 			t.Fatalf("%s: %v", sys, err)
 		}
-		if tm.Execute <= 0 {
+		if prof.ExecuteTime() <= 0 {
 			t.Errorf("%s: no execution time", sys)
 		}
 	}

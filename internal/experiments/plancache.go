@@ -62,17 +62,8 @@ func PlanCache(o Options) ([]Record, error) {
 			warm.Liftoff, warm.Turbofan)
 	}
 
-	rec := func(name string, st wasmdb.Stats) Record {
-		return Record{
-			Name:            name,
-			Backend:         "mutable",
-			TranslateNs:     st.Translate.Nanoseconds(),
-			LiftoffNs:       st.Liftoff.Nanoseconds(),
-			TurbofanNs:      st.Turbofan.Nanoseconds(),
-			ExecNs:          st.Execute.Nanoseconds(),
-			MorselsLiftoff:  st.MorselsLiftoff,
-			MorselsTurbofan: st.MorselsTurbofan,
-		}
-	}
-	return []Record{rec("plancache:cold", cold), rec("plancache:warm", warm)}, nil
+	return []Record{
+		newRecord("plancache:cold", "mutable", 0, cold.QueryProfile),
+		newRecord("plancache:warm", "mutable", 0, warm.QueryProfile),
+	}, nil
 }

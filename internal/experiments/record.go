@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"runtime"
 
 	"wasmdb/internal/harness"
+	"wasmdb/internal/obs"
 	"wasmdb/internal/workload"
 )
 
@@ -20,16 +22,21 @@ type Record struct {
 	Backend string `json:"backend"`
 	// Rows is the input cardinality, when the experiment has one.
 	Rows int `json:"rows,omitempty"`
-	// Phase times in nanoseconds (zero when the phase does not apply).
+	// Timing is the run's per-layer profile in nanoseconds ("<layer>_ns",
+	// turbofan_ns, total_ns, other_ns; zero when a layer does not apply).
+	obs.Timing
+	// TranslateNs and ExecNs are the Fig. 10 sums: parse through codegen,
+	// and rewire through the merge barriers. Figure records carry only
+	// ExecNs.
 	TranslateNs int64 `json:"translate_ns"`
-	LiftoffNs   int64 `json:"liftoff_ns"`
-	TurbofanNs  int64 `json:"turbofan_ns"`
 	ExecNs      int64 `json:"exec_ns"`
 	// Morsel counts per tier under adaptive execution.
 	MorselsLiftoff  uint64 `json:"morsels_liftoff"`
 	MorselsTurbofan uint64 `json:"morsels_turbofan"`
-	// Workers is the morsel worker-pool size (scaling experiment; 0 when
-	// the experiment does not vary parallelism).
+	// Workers is the morsel worker-pool size the scheduler granted the run
+	// — not the requested size a scaling record's ":w<n>" name carries, so
+	// a serial fallback reads 1 — (0 for the interpreters and for
+	// experiments that do not run one query).
 	Workers int `json:"workers,omitempty"`
 	// Fallback is the serial-fallback reason reported by the executor
 	// (empty when the run parallelized as classified).
@@ -38,6 +45,10 @@ type Record struct {
 	// ("volcano" | "vectorized" | "liftoff" | "adaptive"; empty for manual
 	// backends).
 	Choice string `json:"choice,omitempty"`
+	// GOMAXPROCS and NumCPU record the machine shape the run measured:
+	// worker counts above NumCPU measure oversubscription, not scaling.
+	GOMAXPROCS int `json:"gomaxprocs"`
+	NumCPU     int `json:"num_cpu"`
 	// Serving-experiment fields (BENCH_serving.json), one record per
 	// concurrency level of the load harness. The four rate/latency fields
 	// are deliberately not omitempty: a 0.0 rejection rate at low
@@ -57,17 +68,20 @@ type Record struct {
 	TelemetryOverheadPct float64 `json:"telemetry_overhead_pct,omitempty"`
 }
 
-func recordFromTimings(name, backend string, rows int, tm Timings) Record {
+// newRecord is the bench-record view of one run's profile.
+func newRecord(name, backend string, rows int, p obs.QueryProfile) Record {
 	return Record{
 		Name:            name,
 		Backend:         backend,
 		Rows:            rows,
-		TranslateNs:     tm.Translate.Nanoseconds(),
-		LiftoffNs:       tm.Liftoff.Nanoseconds(),
-		TurbofanNs:      tm.Turbofan.Nanoseconds(),
-		ExecNs:          tm.Execute.Nanoseconds(),
-		MorselsLiftoff:  tm.MorselsLo,
-		MorselsTurbofan: tm.MorselsTf,
+		Timing:          p.Timing,
+		TranslateNs:     p.TranslateTime().Nanoseconds(),
+		ExecNs:          p.ExecuteTime().Nanoseconds(),
+		MorselsLiftoff:  p.MorselsLiftoff,
+		MorselsTurbofan: p.MorselsTurbofan,
+		Workers:         p.Workers,
+		Fallback:        p.SerialFallback,
+		Choice:          p.Auto,
 	}
 }
 
@@ -91,8 +105,12 @@ func RecordsFromFigure(id string, f *harness.Figure) []Record {
 	return recs
 }
 
-// WriteRecords serializes records as indented JSON.
+// WriteRecords stamps every record with the machine shape and serializes
+// the records as indented JSON.
 func WriteRecords(w io.Writer, recs []Record) error {
+	for i := range recs {
+		recs[i].GOMAXPROCS, recs[i].NumCPU = runtime.GOMAXPROCS(0), runtime.NumCPU()
+	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(recs)
@@ -112,11 +130,11 @@ func Smoke(o Options) ([]Record, error) {
 	src := "SELECT COUNT(*), SUM(f0) FROM t WHERE i0 < 0"
 	var recs []Record
 	for _, sys := range o.Systems {
-		tm, err := RunOn(cat, src, sys, true)
+		prof, err := RunOn(cat, src, sys, true)
 		if err != nil {
 			return nil, fmt.Errorf("smoke on %s: %w", sys, err)
 		}
-		recs = append(recs, recordFromTimings("smoke", sys, o.Rows, tm))
+		recs = append(recs, newRecord("smoke", sys, o.Rows, prof))
 	}
 	return recs, nil
 }

@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"wasmdb/internal/core"
 	"wasmdb/internal/engine"
-	"wasmdb/internal/harness"
+	"wasmdb/internal/obs"
 	"wasmdb/internal/plan"
 	"wasmdb/internal/sema"
 	"wasmdb/internal/sql"
@@ -82,27 +84,29 @@ func Scaling(o Options) ([]Record, error) {
 		}
 
 		for _, w := range ScalingWorkers {
-			w := w
-			var stats *core.ExecStats
-			exec := harness.Median(o.Reps, func() time.Duration {
-				var err error
-				_, stats, err = core.Execute(cq, q, eng, core.ExecOptions{
+			// Every field of the record comes from one execution: the rep
+			// with the median pipelines+merge time.
+			profs := make([]obs.QueryProfile, max(o.Reps, 1))
+			for i := range profs {
+				tr := obs.NewTrace()
+				start := time.Now()
+				_, _, err := core.Execute(cq, q, eng, core.ExecOptions{
 					WaitOptimized: true,
 					Parallelism:   w,
+					Trace:         tr,
 				})
 				if err != nil {
-					panic(fmt.Sprintf("%s w=%d: %v", qry.name, w, err))
+					return nil, fmt.Errorf("%s w=%d: %w", qry.name, w, err)
 				}
-				return stats.Run
+				profs[i] = obs.NewQueryProfile(tr, time.Since(start))
+			}
+			slices.SortFunc(profs, func(a, b obs.QueryProfile) int {
+				return cmp.Compare(a.Pipelines+a.Merge, b.Pipelines+b.Merge)
 			})
-			recs = append(recs, Record{
-				Name:     fmt.Sprintf("%s:w%d", qry.name, w),
-				Backend:  "mutable",
-				Rows:     o.Rows,
-				ExecNs:   exec.Nanoseconds(),
-				Workers:  w,
-				Fallback: stats.SerialFallback,
-			})
+			prof := profs[len(profs)/2]
+			rec := newRecord(fmt.Sprintf("%s:w%d", qry.name, w), "mutable", o.Rows, prof)
+			rec.ExecNs = (prof.Pipelines + prof.Merge).Nanoseconds()
+			recs = append(recs, rec)
 		}
 	}
 	return recs, nil

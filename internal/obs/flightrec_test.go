@@ -68,6 +68,12 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 	tr := NewTrace()
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
+	// The appender is paced by the dumps: each dump hands it a budget of
+	// events, which it appends while that dump runs. Every dump serializes
+	// the captured trace once per ring entry, so an unpaced appender would
+	// outgrow the dumps until memory ran out.
+	const eventsPerDump = 32
+	budget := make(chan struct{}, eventsPerDump)
 	wg.Add(1)
 	go func() { // background tier-up into a captured trace
 		defer wg.Done()
@@ -75,7 +81,7 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 			select {
 			case <-stop:
 				return
-			default:
+			case <-budget:
 				tr.Event(EvTierUp, I("func", 1), I("morsel", tr.MorselCount()))
 				tr.AddMorsel()
 			}
@@ -91,6 +97,9 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 		}(g)
 	}
 	for i := 0; i < 20; i++ {
+		for k := 0; k < eventsPerDump; k++ {
+			budget <- struct{}{}
+		}
 		var buf bytes.Buffer
 		if err := f.WriteJSON(&buf); err != nil {
 			t.Fatalf("WriteJSON during churn: %v", err)

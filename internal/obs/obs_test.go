@@ -20,10 +20,10 @@ func TestNilTraceIsInert(t *testing.T) {
 	tr.AddMorsel()
 	tr.Add("c", 1)
 	tr.Set("c", 2)
-	if tr.Value("c") != 0 || tr.Dur("x") != 0 || tr.MorselCount() != 0 {
+	if tr.Dur("x") != 0 || tr.MorselCount() != 0 {
 		t.Error("nil trace returned non-zero data")
 	}
-	if tr.Spans() != nil || tr.Events() != nil || tr.HasEvent("x") {
+	if tr.Spans() != nil || tr.Events() != nil {
 		t.Error("nil trace returned non-empty snapshots")
 	}
 	if err := tr.WriteTraceEvents(&bytes.Buffer{}); err != nil {
@@ -45,11 +45,12 @@ func TestTraceRecords(t *testing.T) {
 	if d := tr.Dur(SpanParse); d < time.Millisecond {
 		t.Errorf("parse span %v, want >= 1ms", d)
 	}
-	if !tr.HasEvent(EvTierUp) {
-		t.Error("tier-up event missing")
+	p := NewQueryProfile(tr, 0)
+	if len(p.Tiers) != 1 || p.Tiers[0].Func != 3 || p.Tiers[0].Morsel != 7 {
+		t.Errorf("tier-up event missing: %+v", p.Tiers)
 	}
-	if v := tr.Value(CtrFuelUsed); v != 123 {
-		t.Errorf("counter = %d, want 123", v)
+	if p.FuelUsed != 123 {
+		t.Errorf("counter = %d, want 123", p.FuelUsed)
 	}
 	if tr.MorselCount() != 2 {
 		t.Errorf("morsels = %d, want 2", tr.MorselCount())

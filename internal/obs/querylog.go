@@ -10,7 +10,7 @@ import (
 )
 
 // The structured query log: one self-contained JSON record per executed
-// query, derived from the same trace the public Stats come from, emitted
+// query, a view of the same profile the public Stats come from, emitted
 // through a pluggable sink that never blocks the query path — records are
 // handed to a bounded queue and a background flusher; overflow drops (and
 // counts querylog_dropped_total) rather than stalling execution.
@@ -30,47 +30,27 @@ type SpanNs struct {
 	DurNs   int64  `json:"dur_ns"`
 }
 
-// QueryLogRecord is one query's structured log record. Everything except
-// the identity fields (SQL, Backend, RequestID, Session) is derived from
-// the query trace by RecordFromTrace, so the log, the public Stats, and
-// EXPLAIN ANALYZE can never disagree.
+// QueryLogRecord is one query's structured log record: the identity
+// fields (SQL, Backend, RequestID, Session, Error) around the query's
+// QueryProfile, whose fields — one "<layer>_ns" key per layer, total_ns,
+// other_ns, counters, plan-cache and autopilot outcome — serialize inline.
+// The log, the public Stats, and EXPLAIN ANALYZE read the same profile and
+// so cannot disagree.
 type QueryLogRecord struct {
 	Time      time.Time `json:"time"`
 	RequestID string    `json:"request_id,omitempty"`
 	Session   string    `json:"session,omitempty"`
 	SQL       string    `json:"sql"`
-	// QueryHash is a stable FNV-64a hash of the SQL text; Fingerprint is the
-	// plan-cache fingerprint prefix (same-shaped queries share it even when
-	// their literals differ).
-	QueryHash   string `json:"query_hash,omitempty"`
-	Fingerprint string `json:"plan_fingerprint,omitempty"`
-	Backend     string `json:"backend,omitempty"`
-	// Tier is the final dispatch mix: "liftoff", "turbofan", "mixed" (the
-	// query tiered up mid-execution), or "none" for non-compiling backends.
-	Tier string `json:"tier,omitempty"`
+	// QueryHash is a stable FNV-64a hash of the SQL text; the profile's
+	// Fingerprint is the plan-cache fingerprint prefix (same-shaped queries
+	// share it even when their literals differ).
+	QueryHash string `json:"query_hash,omitempty"`
+	Backend   string `json:"backend,omitempty"`
 	// TierUps is the adaptive timeline: each background publish with the
 	// morsel index it landed at.
-	TierUps   []TierUp `json:"tier_ups,omitempty"`
-	PlanCache string   `json:"plan_cache,omitempty"` // hit | miss | off
-	// Workers is the granted morsel worker-pool size; SerialFallback names
-	// why a parallel request ran serially (empty otherwise).
-	Workers        int    `json:"workers,omitempty"`
-	SerialFallback string `json:"serial_fallback,omitempty"`
-	// Auto is the autopilot's routing decision for BackendAuto queries
-	// ("volcano" | "vectorized" | "liftoff" | "adaptive"; empty for manual
-	// backends).
-	Auto string `json:"auto,omitempty"`
-	FuelUsed       int64  `json:"fuel_used,omitempty"`
-	PeakMemBytes   int64  `json:"peak_mem_bytes,omitempty"`
-	Rows           int    `json:"rows"`
-	// Latency breakdown: parse (parse+sema), plan, compile (codegen through
-	// liftoff), execute (rewire+instantiate+execute), and wall-clock total.
-	ParseNs   int64  `json:"parse_ns"`
-	PlanNs    int64  `json:"plan_ns"`
-	CompileNs int64  `json:"compile_ns"`
-	ExecuteNs int64  `json:"execute_ns"`
-	TotalNs   int64  `json:"total_ns"`
-	Error     string `json:"error,omitempty"`
+	TierUps []TierUp `json:"tier_ups,omitempty"`
+	QueryProfile
+	Error string `json:"error,omitempty"`
 	// Slow marks a record over the caller's slow-query threshold; Promoted
 	// marks a slow record that won the rate limiter and carries the full
 	// span timeline in Spans.
@@ -90,78 +70,28 @@ func HashQuery(sql string) string {
 	return strconv.FormatUint(h.Sum64(), 16)
 }
 
-// RecordFromTrace derives a query-log record from a completed query trace:
-// the latency breakdown from the phase spans, the tier timeline from tier-up
-// events, plan-cache outcome and fingerprint from the plan-cache event, and
-// the parallelism/fuel/memory counters. Identity fields (SQL, Backend,
-// Session, TotalNs, Error, Rows) are the caller's to fill.
-func RecordFromTrace(tr *Trace) QueryLogRecord {
-	rec := QueryLogRecord{Time: tr.StartTime()}
-	if tr == nil {
-		return rec
+// Record is the query-log view of a profile read from tr. Identity fields
+// (SQL, QueryHash, Backend, Session, Error) are the caller's to fill.
+func (p QueryProfile) Record(tr *Trace) QueryLogRecord {
+	rec := QueryLogRecord{Time: tr.StartTime(), Trace: tr, QueryProfile: p}
+	if tr != nil {
+		rec.RequestID = tr.RequestID
 	}
-	rec.RequestID = tr.RequestID
-	rec.Trace = tr
-	rec.ParseNs = (tr.Dur(SpanParse) + tr.Dur(SpanSema)).Nanoseconds()
-	rec.PlanNs = tr.Dur(SpanPlan).Nanoseconds()
-	rec.CompileNs = (tr.Dur(SpanCodegen) + tr.Dur(SpanDecode) +
-		tr.Dur(SpanValidate) + tr.Dur(SpanLiftoff)).Nanoseconds()
-	rec.ExecuteNs = (tr.Dur(SpanRewire) + tr.Dur(SpanInstantiate) +
-		tr.Dur(SpanExecute)).Nanoseconds()
-	rec.Workers = int(tr.Value(CtrWorkers))
-	rec.FuelUsed = tr.Value(CtrFuelUsed)
-	rec.PeakMemBytes = tr.Value(CtrPeakMemBytes)
-	rec.Rows = int(tr.Value(CtrResultRows))
-
-	lo, tf := tr.Value(CtrMorselsLiftoff), tr.Value(CtrMorselsTurbofan)
-	switch {
-	case lo > 0 && tf > 0:
-		rec.Tier = "mixed"
-	case tf > 0:
-		rec.Tier = "turbofan"
-	case lo > 0:
-		rec.Tier = "liftoff"
-	default:
-		rec.Tier = "none"
-	}
-
-	for _, e := range tr.Events() {
-		switch e.Name {
-		case EvTierUp:
-			var tu TierUp
-			for _, a := range e.Args {
-				switch a.Key {
-				case "func":
-					tu.Func = a.Val
-				case "morsel":
-					tu.Morsel = a.Val
-				}
-			}
-			rec.TierUps = append(rec.TierUps, tu)
-		case EvPlanCache:
-			for _, a := range e.Args {
-				switch a.Key {
-				case "result":
-					rec.PlanCache = a.Str
-				case "fingerprint":
-					rec.Fingerprint = a.Str
-				}
-			}
-		case EvSerialFallback:
-			for _, a := range e.Args {
-				if a.Key == "reason" {
-					rec.SerialFallback = a.Str
-				}
-			}
-		case EvAutopilot:
-			for _, a := range e.Args {
-				if a.Key == "choice" {
-					rec.Auto = a.Str
-				}
-			}
+	for _, te := range p.Tiers {
+		if !te.Switch {
+			rec.TierUps = append(rec.TierUps, TierUp{Func: te.Func, Morsel: te.Morsel})
 		}
 	}
 	return rec
+}
+
+// SetAdmission fills the admission layer of a served request's record from
+// the wait its handler measured. The wait precedes the query's own clock,
+// so Total moves with it; a record whose trace already carried the
+// admission span is left unchanged.
+func (r *QueryLogRecord) SetAdmission(wait time.Duration) {
+	r.Total += wait - r.Admission
+	r.Admission = wait
 }
 
 // spanTimeline renders the trace's full span list relative to its start —

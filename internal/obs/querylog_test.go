@@ -55,23 +55,30 @@ func sampleTrace() *Trace {
 }
 
 // TestRecordFromTrace: every derived field of the query-log record comes out
-// of the trace correctly.
+// of the trace correctly, through the query profile.
 func TestRecordFromTrace(t *testing.T) {
-	rec := RecordFromTrace(sampleTrace())
+	tr := sampleTrace()
+	rec := NewQueryProfile(tr, 30*time.Millisecond).Record(tr)
 	if rec.RequestID != "req-42" {
 		t.Errorf("RequestID = %q", rec.RequestID)
 	}
-	if rec.ParseNs != (3 * time.Millisecond).Nanoseconds() {
-		t.Errorf("ParseNs = %d", rec.ParseNs)
-	}
-	if rec.PlanNs != (3 * time.Millisecond).Nanoseconds() {
-		t.Errorf("PlanNs = %d", rec.PlanNs)
-	}
-	if rec.CompileNs != (9 * time.Millisecond).Nanoseconds() {
-		t.Errorf("CompileNs = %d", rec.CompileNs)
-	}
-	if rec.ExecuteNs != (7 * time.Millisecond).Nanoseconds() {
-		t.Errorf("ExecuteNs = %d", rec.ExecuteNs)
+	ms := time.Millisecond
+	for _, c := range []struct {
+		name      string
+		got, want time.Duration
+	}{
+		{"parse", rec.Parse, 2 * ms},
+		{"sema", rec.Sema, 1 * ms},
+		{"plan", rec.Plan, 3 * ms},
+		{"codegen", rec.Codegen, 4 * ms},
+		{"liftoff", rec.Liftoff, 5 * ms},
+		{"pipelines", rec.Pipelines, 7 * ms},
+		{"total", rec.Total, 30 * ms},
+		{"other", rec.Other, 8 * ms},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
+		}
 	}
 	if rec.Tier != "mixed" {
 		t.Errorf("Tier = %q, want mixed", rec.Tier)
@@ -104,11 +111,11 @@ func TestQueryLogEmitsJSONLines(t *testing.T) {
 		return buf.Write(p)
 	})
 	l := NewQueryLog(NewWriterSink(lockedWriter), QueryLogConfig{})
-	rec := RecordFromTrace(sampleTrace())
+	tr := sampleTrace()
+	rec := NewQueryProfile(tr, 12345).Record(tr)
 	rec.SQL = "SELECT 1"
 	rec.QueryHash = HashQuery(rec.SQL)
 	rec.Backend = "wasm-adaptive"
-	rec.TotalNs = 12345
 	l.Observe(rec)
 	l.Close()
 
@@ -120,7 +127,9 @@ func TestQueryLogEmitsJSONLines(t *testing.T) {
 		t.Fatalf("record is not one JSON line: %v\n%s", err, line)
 	}
 	for _, key := range []string{"sql", "query_hash", "plan_fingerprint", "backend", "tier",
-		"plan_cache", "request_id", "parse_ns", "compile_ns", "execute_ns", "total_ns", "rows"} {
+		"plan_cache", "request_id", "parse_ns", "sema_ns", "plan_ns", "codegen_ns", "decode_ns",
+		"validate_ns", "liftoff_ns", "rewire_ns", "instantiate_ns", "pipelines_ns", "merge_ns",
+		"admission_ns", "turbofan_ns", "total_ns", "other_ns", "rows"} {
 		if _, ok := got[key]; !ok {
 			t.Errorf("record missing %q: %s", key, line)
 		}
@@ -178,7 +187,8 @@ func TestSlowPromotionRateLimited(t *testing.T) {
 	sink := &sliceSink{}
 	l := NewQueryLog(sink, QueryLogConfig{SlowEvery: time.Hour, SlowBurst: 3})
 	for i := 0; i < 10; i++ {
-		rec := RecordFromTrace(sampleTrace())
+		tr := sampleTrace()
+		rec := NewQueryProfile(tr, 0).Record(tr)
 		rec.SQL = fmt.Sprintf("q%d", i)
 		rec.Slow = true
 		l.Observe(rec)

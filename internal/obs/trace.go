@@ -19,8 +19,9 @@ import (
 	"time"
 )
 
-// Canonical span names, recorded once per query phase. Trace.Dur sums all
-// spans of a name, so repeated phases (e.g. several pipelines) aggregate.
+// Canonical span names, recorded once per query phase. NewQueryProfile sums
+// all spans of a name into its layer, so repeated phases (e.g. several
+// pipelines) aggregate.
 const (
 	SpanParse       = "parse"
 	SpanSema        = "sema"
@@ -103,7 +104,9 @@ const (
 	CtrModuleBytes     = "module_bytes"
 	CtrFuelUsed        = "fuel_used"
 	CtrPeakMemBytes    = "peak_mem_bytes"
-	CtrResultRows      = "result_rows"
+	// CtrResultRows is the result cardinality the public API returned (set
+	// by wasmdb after execution, for every backend).
+	CtrResultRows = "result_rows"
 	// CtrWorkers is the size of the morsel worker pool the query ran with.
 	CtrWorkers = "workers"
 	// CtrPipelinesParallel / CtrPipelinesSerial count pipelines driven by the
@@ -279,16 +282,6 @@ func (t *Trace) Set(name string, v int64) {
 	t.mu.Unlock()
 }
 
-// Value reads the named counter (0 if absent or trace is nil).
-func (t *Trace) Value(name string) int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.counters[name]
-}
-
 // Dur sums the durations of all spans with the given name.
 func (t *Trace) Dur(name string) time.Duration {
 	if t == nil {
@@ -327,21 +320,6 @@ func (t *Trace) Events() []Event {
 	out := make([]Event, len(t.events))
 	copy(out, t.events)
 	return out
-}
-
-// HasEvent reports whether an event with the given name was recorded.
-func (t *Trace) HasEvent(name string) bool {
-	if t == nil {
-		return false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, e := range t.events {
-		if e.Name == name {
-			return true
-		}
-	}
-	return false
 }
 
 // active is the process-wide current trace, consulted by instrumentation

@@ -648,6 +648,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	opts = append(opts,
 		wasmdb.WithRequestID(RequestID(r)),
 		wasmdb.WithQueryLog(func(rec wasmdb.QueryLogRecord) {
+			// Traced or not, the record carries the admission wait.
+			rec.SetAdmission(wait)
 			s.observeQuery(rec, req.Session)
 		}))
 	ctx, cancel := context.WithTimeout(base, timeout)

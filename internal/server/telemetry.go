@@ -109,7 +109,7 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 // structured query log (both non-blocking; both nil-safe).
 func (s *Server) observeQuery(rec wasmdb.QueryLogRecord, session string) {
 	rec.Session = session
-	if s.cfg.SlowQuery > 0 && rec.TotalNs >= s.cfg.SlowQuery.Nanoseconds() {
+	if s.cfg.SlowQuery > 0 && rec.Total >= s.cfg.SlowQuery {
 		rec.Slow = true
 	}
 	s.frec.Observe(rec)

@@ -233,7 +233,9 @@ func TestSlowAndErroredQueriesCaptured(t *testing.T) {
 	}
 	// The slow record carries the full latency breakdown and adaptive fields.
 	for _, key := range []string{"query_hash", "plan_fingerprint", "backend", "tier",
-		"plan_cache", "parse_ns", "compile_ns", "execute_ns", "total_ns"} {
+		"plan_cache", "parse_ns", "sema_ns", "plan_ns", "codegen_ns", "decode_ns", "validate_ns",
+		"liftoff_ns", "rewire_ns", "instantiate_ns", "pipelines_ns", "merge_ns", "admission_ns",
+		"turbofan_ns", "total_ns", "other_ns"} {
 		if _, ok := slow[key]; !ok {
 			t.Errorf("slow record missing %q: %v", key, slow)
 		}
@@ -336,4 +338,29 @@ func TestQueryLogClosedOnShutdown(t *testing.T) {
 		t.Error("query log not flushed by Shutdown")
 	}
 	// Idempotent: the test-cleanup Shutdown must not panic on the closed log.
+}
+
+// TestUntracedRequestLogsAdmission: a request that did not ask for a trace
+// still logs its admission wait, and the logged value is the one the
+// response reports.
+func TestUntracedRequestLogsAdmission(t *testing.T) {
+	qlog := &syncBuffer{}
+	_, hs := newServer(t, Config{QueryLogWriter: qlog})
+	status, body, _ := call(t, hs, "POST", "/v1/query", map[string]any{"sql": "SELECT COUNT(*) FROM t"})
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %v", status, body)
+	}
+	stats, _ := body["stats"].(map[string]any)
+	want, _ := stats["admission_ns"].(float64)
+	if want <= 0 {
+		t.Fatalf("response stats.admission_ns = %v, want > 0", stats["admission_ns"])
+	}
+	waitFor(t, "one query-log record", func() bool { return len(logRecords(t, qlog.String())) >= 1 })
+	rec := logRecords(t, qlog.String())[0]
+	if got := rec["admission_ns"]; got != want {
+		t.Errorf("logged admission_ns = %v, response stats.admission_ns = %v", got, want)
+	}
+	if total, _ := rec["total_ns"].(float64); total < want {
+		t.Errorf("logged total_ns %v is below its admission wait %v", total, want)
+	}
 }

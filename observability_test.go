@@ -91,7 +91,7 @@ func TestDeterministicTierUp(t *testing.T) {
 	if !sawTierUp {
 		t.Fatalf("no tier-up event with morsel index > 0; events: %+v", tr.Events())
 	}
-	if !tr.HasEvent(obs.EvTierSwitch) {
+	if res.Stats.FirstSwitchMorsel < 0 {
 		t.Error("no tier-switch event for the first optimized dispatch")
 	}
 }
@@ -128,7 +128,7 @@ func TestExplainAnalyzeJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"phases:", "parse", "codegen", "liftoff compile", "execute",
+		"phases:", "parse", "codegen", "liftoff compile", "\n  pipelines ",
 		"pipelines:", "tier timeline:", "optimized code published",
 		"totals:", "morsels", "module",
 	} {
@@ -152,6 +152,50 @@ func TestExplainAnalyzeMergeBarrier(t *testing.T) {
 	}
 	if !strings.Contains(out, "\n  merge barrier ") {
 		t.Errorf("EXPLAIN ANALYZE output has no merge barrier phase:\n%s", out)
+	}
+}
+
+// TestExplainAnalyzeLayersSumToTotal: EXPLAIN ANALYZE prints disjoint
+// layers — pipelines excludes the merge barrier printed on its own line — so
+// the foreground layer lines of a 2-worker TPC-H Q3 sum to no more than the
+// printed total. Turbofan compiles in the background and is left out.
+func TestExplainAnalyzeLayersSumToTotal(t *testing.T) {
+	db := tpchDB(t)
+	q3, _ := wasmdb.TPCHQuery("Q3")
+	out, err := db.ExplainAnalyze(q3, wasmdb.WithParallelism(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, phases, ok := strings.Cut(out, "\nphases:\n")
+	if !ok {
+		t.Fatalf("no phases section:\n%s", out)
+	}
+	phases, _, _ = strings.Cut(phases, "\n\n")
+	var sum, total time.Duration
+	var sawMerge bool
+	for _, line := range strings.Split(phases, "\n") {
+		if len(line) < 21 {
+			t.Fatalf("malformed phase line %q", line)
+		}
+		label := strings.TrimSpace(line[:20])
+		d, err := time.ParseDuration(strings.Fields(line[20:])[0])
+		if err != nil {
+			t.Fatalf("phase line %q: %v", line, err)
+		}
+		switch label {
+		case "turbofan compile", "other":
+		case "total":
+			total = d
+		default:
+			sawMerge = sawMerge || label == "merge barrier"
+			sum += d
+		}
+	}
+	if !sawMerge || total == 0 {
+		t.Fatalf("want a merge barrier line and a total line:\n%s", out)
+	}
+	if sum > total {
+		t.Errorf("foreground layers sum to %v, more than the total %v:\n%s", sum, total, out)
 	}
 }
 

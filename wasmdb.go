@@ -375,9 +375,9 @@ func WithTrace(tr *Trace) Option { return func(o *queryOpts) { o.trace = tr } }
 // hash, plan fingerprint, request ID), the adaptive timeline (backend, final
 // dispatch tier, tier-ups with morsel indices, plan-cache outcome),
 // parallelism grant and serial-fallback reason, resource use (fuel, peak
-// memory, rows), and the parse→plan→compile→execute latency breakdown. It
-// serializes as one JSON object (see obs.NewWriterSink for the JSON-lines
-// sink the server uses).
+// memory, rows), and the query's QueryProfile inline (one "<layer>_ns" key
+// per layer, total_ns, other_ns, counters). It serializes as one JSON
+// object (see obs.NewWriterSink for the JSON-lines sink the server uses).
 type QueryLogRecord = obs.QueryLogRecord
 
 // FlightRecorder is a bounded ring of recently captured queries — every
@@ -433,105 +433,34 @@ func WithMemoryLimit(maxBytes uint64) Option {
 	}
 }
 
-// Stats describes where query time went.
+// QueryProfile is one query's execution profile: the wall clock split
+// across a fixed, disjoint layer list (parse, sema, plan, codegen, decode,
+// validate, liftoff, rewire, instantiate, pipelines, merge, admission) plus
+// Turbofan beside it, Total and the uncovered Other; the executor counters;
+// and the plan-cache, autopilot, serial-fallback and tier-timeline facts.
+// Stats, the query log, EXPLAIN ANALYZE and the autopilot's feedback are
+// all views of it.
+type QueryProfile = obs.QueryProfile
+
+// Stats describes where query time went: the query's QueryProfile (its
+// fields — Parse … Admission, Turbofan, Total, Other, the morsel and merge
+// counters, SerialFallback, Auto, AutoReason, … — are promoted), the
+// backend it was asked to run on, and two sums kept for the paper's
+// Fig. 10 split.
 type Stats struct {
 	Backend Backend
-	// Translate is SQL→plan→Wasm code generation time.
+	QueryProfile
+	// Translate is SQL→plan→Wasm code generation: parse, sema, plan, and
+	// codegen.
 	Translate time.Duration
-	// Liftoff and Turbofan are the engine's compile times for each tier
-	// (zero for backends that do not compile).
-	Liftoff  time.Duration
-	Turbofan time.Duration
-	// Execute is pipeline execution time (includes instantiation).
+	// Execute is setup plus execution: rewire, instantiate, pipelines, and
+	// merge barriers.
 	Execute time.Duration
-	// MorselsLiftoff / MorselsTurbofan count morsel calls served by each
-	// tier under adaptive execution.
-	MorselsLiftoff  uint64
-	MorselsTurbofan uint64
-	// TurbofanFailed counts functions whose background optimizing compile
-	// failed; the query completed on baseline code for those functions.
-	TurbofanFailed int
-	// ModuleBytes is the size of the generated Wasm module.
-	ModuleBytes int
-	// FuelUsed is the fuel consumed against a WithFuel budget (0 when none
-	// was set; the implicit metering a cancellable context arms is internal
-	// bookkeeping and is not reported).
-	FuelUsed int64
-	// PeakMemBytes is the high-water linear-memory size of the query, summed
-	// across all workers under parallel execution.
-	PeakMemBytes uint64
-	// Workers is the morsel worker-pool size the query ran with (1 when
-	// serial; see WithParallelism).
-	Workers int
-	// PipelinesParallel and PipelinesSerial count morsel-driven pipelines by
-	// how they executed. PipelinesSerial > 0 alone does not mean a fallback:
-	// under parallel grouped aggregation or sort the post-barrier output
-	// pipelines legitimately run serially on the primary worker over merged
-	// state. A fallback is indicated by SerialFallback being non-empty.
-	PipelinesParallel int
-	PipelinesSerial   int
-	// SerialFallback names why a WithParallelism request ran serially
-	// ("limit", "float-sum-order", "unmergeable-pipeline-state", ...) and is
-	// empty when the query parallelized or never asked to.
-	SerialFallback string
-	// GroupsMerged counts the partial group records drained from secondary
-	// workers and merged into the primary at the parallel group-by barrier
-	// (0 when no group merge ran).
-	GroupsMerged int
-	// JoinPartitionsMerged counts the secondary-worker build partitions
-	// drained at parallel join barriers (0 when no join merge ran).
-	JoinPartitionsMerged int
-	// Auto is the autopilot's resolved choice for a BackendAuto query
-	// ("vectorized", "liftoff", "adaptive"; empty for manual backends), and
-	// AutoReason its one-line rationale.
-	Auto       string
-	AutoReason string
 }
 
-// statsFromTrace derives the public Stats from the query trace — the single
-// source of truth all three stats surfaces (wasmdb.Stats, core.ExecStats,
-// engine.CompileStats) now agree on.
-func statsFromTrace(tr *obs.Trace, b Backend) Stats {
-	s := Stats{
-		Backend: b,
-		Translate: tr.Dur(obs.SpanParse) + tr.Dur(obs.SpanSema) +
-			tr.Dur(obs.SpanPlan) + tr.Dur(obs.SpanCodegen),
-		Liftoff:  tr.Dur(obs.SpanLiftoff),
-		Turbofan: tr.Dur(obs.SpanTurbofan),
-		Execute: tr.Dur(obs.SpanRewire) + tr.Dur(obs.SpanInstantiate) +
-			tr.Dur(obs.SpanExecute),
-		MorselsLiftoff:       uint64(tr.Value(obs.CtrMorselsLiftoff)),
-		MorselsTurbofan:      uint64(tr.Value(obs.CtrMorselsTurbofan)),
-		TurbofanFailed:       int(tr.Value(obs.CtrTurbofanFailed)),
-		ModuleBytes:          int(tr.Value(obs.CtrModuleBytes)),
-		FuelUsed:             tr.Value(obs.CtrFuelUsed),
-		PeakMemBytes:         uint64(tr.Value(obs.CtrPeakMemBytes)),
-		Workers:              int(tr.Value(obs.CtrWorkers)),
-		PipelinesParallel:    int(tr.Value(obs.CtrPipelinesParallel)),
-		PipelinesSerial:      int(tr.Value(obs.CtrPipelinesSerial)),
-		GroupsMerged:         int(tr.Value(obs.CtrGroupsMerged)),
-		JoinPartitionsMerged: int(tr.Value(obs.CtrJoinPartitionsMerged)),
-	}
-	for _, e := range tr.Events() {
-		switch e.Name {
-		case obs.EvSerialFallback:
-			for _, a := range e.Args {
-				if a.Key == "reason" {
-					s.SerialFallback = a.Str
-				}
-			}
-		case obs.EvAutopilot:
-			for _, a := range e.Args {
-				switch a.Key {
-				case "choice":
-					s.Auto = a.Str
-				case "reason":
-					s.AutoReason = a.Str
-				}
-			}
-		}
-	}
-	return s
+// newStats is the Stats view of a query profile.
+func newStats(b Backend, p QueryProfile) Stats {
+	return Stats{Backend: b, QueryProfile: p, Translate: p.TranslateTime(), Execute: p.ExecuteTime()}
 }
 
 // Result is a decoded result set.
@@ -626,9 +555,10 @@ func (db *DB) QueryContext(ctx context.Context, src string, opts ...Option) (*Re
 // error — records into a trace (the caller's via WithTrace, or an internal
 // one), lands one observation in the query_latency_ns{backend,tier,cache}
 // histogram, and yields a structured QueryLogRecord to the WithQueryLog
-// callback. The telemetry cost off the serving path is one trace (already
-// the case before this layer — Stats are derived from it) plus one labeled
-// histogram lookup, so it stays on unconditionally.
+// callback. The trace is read once, into the QueryProfile that Stats, the
+// log record and the autopilot feedback are views of. The telemetry cost
+// off the serving path is that one trace plus one labeled histogram lookup,
+// so it stays on unconditionally.
 func (db *DB) queryContext(ctx context.Context, src string, args []types.Value, opts ...Option) (*Result, error) {
 	o := queryOpts{}
 	for _, f := range opts {
@@ -646,17 +576,29 @@ func (db *DB) queryContext(ctx context.Context, src string, args []types.Value, 
 	}
 
 	start := time.Now()
-	res, err := db.runQuery(ctx, src, args, &o, tr)
+	res, autoKey, err := db.runQuery(ctx, src, args, &o, tr)
 	total := time.Since(start)
+	if res != nil {
+		tr.Set(obs.CtrResultRows, int64(res.NumRows()))
+	}
+	prof := obs.NewQueryProfile(tr, total)
+	if res != nil {
+		res.Stats = newStats(o.backend, prof)
+		if autoKey != "" {
+			// Close the feedback loop: store what actually happened under
+			// this fingerprint, so the next decision for the shape corrects
+			// itself. The write goes through the cache's own lock —
+			// concurrent warm hits replace the slot whole, never tear it —
+			// and the key embeds the schema version, so a write racing a
+			// DDL flush lands in a slot no later query reads.
+			db.pcache.RecordFeedback(autoKey, newFeedback(prof))
+		}
+	}
 
-	rec := obs.RecordFromTrace(tr)
+	rec := prof.Record(tr)
 	rec.SQL = src
 	rec.QueryHash = obs.HashQuery(src)
 	rec.Backend = o.backend.String()
-	rec.TotalNs = total.Nanoseconds()
-	if res != nil {
-		rec.Rows = res.NumRows()
-	}
 	if err != nil {
 		rec.Error = err.Error()
 	}
@@ -675,10 +617,30 @@ func (db *DB) queryContext(ctx context.Context, src string, args []types.Value, 
 	return res, err
 }
 
+// newFeedback is the plan-cache feedback view of a query profile.
+func newFeedback(p QueryProfile) plancache.Feedback {
+	fb := plancache.Feedback{
+		Rows:              int64(p.Rows),
+		ExecNs:            (p.Pipelines + p.Merge).Nanoseconds(),
+		Morsels:           int64(p.MorselsLiftoff + p.MorselsTurbofan),
+		TierUpMorsel:      p.FirstSwitchMorsel,
+		Workers:           p.Workers,
+		SerialFallback:    p.SerialFallback,
+		FallbackIntrinsic: core.FallbackIntrinsic(p.SerialFallback),
+		Choice:            p.Auto,
+	}
+	if fb.Morsels > 0 {
+		fb.MorselNs = fb.ExecNs / fb.Morsels
+	}
+	return fb
+}
+
 // runQuery is the execution path proper: parse → analyze → bind → plan →
-// compile (through the plan cache) → execute. The per-morsel hot path stays
-// cheap: one atomic add per morsel, spans only at phase granularity.
-func (db *DB) runQuery(ctx context.Context, src string, args []types.Value, o *queryOpts, tr *obs.Trace) (*Result, error) {
+// compile (through the plan cache) → execute. For a BackendAuto query it also
+// returns the key its execution feedback is stored under (the shape's
+// adaptive-tier fingerprint). The per-morsel hot path stays cheap: one
+// atomic add per morsel, spans only at phase granularity.
+func (db *DB) runQuery(ctx context.Context, src string, args []types.Value, o *queryOpts, tr *obs.Trace) (*Result, string, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -690,20 +652,20 @@ func (db *DB) runQuery(ctx context.Context, src string, args []types.Value, o *q
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("wasmdb: query canceled: %w", err)
+		return nil, "", fmt.Errorf("wasmdb: query canceled: %w", err)
 	}
 
 	sp := tr.Begin(obs.SpanParse)
 	stmt, err := sql.ParseSelect(src)
 	sp.End()
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	sp = tr.Begin(obs.SpanSema)
 	q, err := sema.Analyze(stmt, db.cat)
 	sp.End()
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 
 	// Bind explicit ? placeholders. An ad-hoc query must not contain any;
@@ -711,16 +673,16 @@ func (db *DB) runQuery(ctx context.Context, src string, args []types.Value, o *q
 	// explicit LIMIT ? resolves on the host before planning — the plan's
 	// limit node depends on its presence.
 	if args == nil && q.NumParams > 0 {
-		return nil, fmt.Errorf("wasmdb: query has %d placeholder(s); use Prepare", q.NumParams)
+		return nil, "", fmt.Errorf("wasmdb: query has %d placeholder(s); use Prepare", q.NumParams)
 	}
 	if args != nil {
 		if len(args) != q.NumParams {
-			return nil, fmt.Errorf("wasmdb: statement expects %d argument(s), got %d", q.NumParams, len(args))
+			return nil, "", fmt.Errorf("wasmdb: statement expects %d argument(s), got %d", q.NumParams, len(args))
 		}
 		if q.LimitParam >= 0 {
 			n := args[q.LimitParam].I
 			if n < 0 {
-				return nil, fmt.Errorf("wasmdb: negative LIMIT argument %d", n)
+				return nil, "", fmt.Errorf("wasmdb: negative LIMIT argument %d", n)
 			}
 			q.Limit = n
 		}
@@ -747,7 +709,7 @@ func (db *DB) runQuery(ctx context.Context, src string, args []types.Value, o *q
 	p, err := plan.Build(q)
 	sp.End()
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 
 	// Resolve BackendAuto into a concrete strategy. The decision runs after
@@ -791,7 +753,7 @@ func (db *DB) runQuery(ctx context.Context, src string, args []types.Value, o *q
 				// one — re-derive it exactly as the param-region overflow
 				// path below does.
 				if q, err = sema.Analyze(stmt, db.cat); err != nil {
-					return nil, err
+					return nil, "", err
 				}
 				if q.LimitParam >= 0 {
 					q.Limit = args[q.LimitParam].I
@@ -800,7 +762,7 @@ func (db *DB) runQuery(ctx context.Context, src string, args []types.Value, o *q
 					sema.SubstituteParams(q, args)
 				}
 				if p, err = plan.Build(q); err != nil {
-					return nil, err
+					return nil, "", err
 				}
 				params = nil
 			}
@@ -823,7 +785,7 @@ func (db *DB) runQuery(ctx context.Context, src string, args []types.Value, o *q
 		_, rows, err := volcano.Run(q, p)
 		sp.End()
 		if err != nil {
-			return nil, err
+			return nil, "", err
 		}
 		res.rows = rows
 	case BackendVectorized:
@@ -831,7 +793,7 @@ func (db *DB) runQuery(ctx context.Context, src string, args []types.Value, o *q
 		_, rows, _, err := vectorized.Run(q, p)
 		sp.End()
 		if err != nil {
-			return nil, err
+			return nil, "", err
 		}
 		res.rows = rows
 	default:
@@ -894,7 +856,7 @@ func (db *DB) runQuery(ctx context.Context, src string, args []types.Value, o *q
 				// More literal bytes than the parameter region holds:
 				// re-derive the literal query and compile it below, uncached.
 				if q, err = sema.Analyze(stmt, db.cat); err != nil {
-					return nil, err
+					return nil, "", err
 				}
 				if q.LimitParam >= 0 {
 					q.Limit = args[q.LimitParam].I
@@ -903,11 +865,11 @@ func (db *DB) runQuery(ctx context.Context, src string, args []types.Value, o *q
 					sema.SubstituteParams(q, args)
 				}
 				if p, err = plan.Build(q); err != nil {
-					return nil, err
+					return nil, "", err
 				}
 				params = nil
 			default:
-				return nil, cerr
+				return nil, "", cerr
 			}
 		}
 		if cq == nil && mod == nil {
@@ -915,7 +877,7 @@ func (db *DB) runQuery(ctx context.Context, src string, args []types.Value, o *q
 			cq, err = core.CompileStyled(q, p, style)
 			sp.End()
 			if err != nil {
-				return nil, err
+				return nil, "", err
 			}
 		}
 		if mod != nil && cfg.Tier == engine.TierAdaptive && !autoLiftoff {
@@ -940,42 +902,12 @@ func (db *DB) runQuery(ctx context.Context, src string, args []types.Value, o *q
 			DrainBackground: o.trace != nil,
 		})
 		if err != nil {
-			return nil, err
+			return nil, "", err
 		}
 		res.rows = out.Rows
 	}
-	res.Stats = statsFromTrace(tr, o.backend)
 	obs.Default.Counter(obs.MetricQueries + "." + o.backend.String()).Add(1)
-	if autoKey != "" {
-		// Close the feedback loop: store what actually happened under this
-		// fingerprint, so the next decision for the shape corrects itself.
-		// The write goes through the cache's own lock — concurrent warm hits
-		// replace the slot whole, never tear it.
-		fb := plancache.Feedback{
-			Rows:           int64(len(res.rows)),
-			ExecNs:         tr.Dur(obs.SpanExecute).Nanoseconds(),
-			Morsels:        int64(res.Stats.MorselsLiftoff + res.Stats.MorselsTurbofan),
-			TierUpMorsel:   -1,
-			Workers:        res.Stats.Workers,
-			SerialFallback: res.Stats.SerialFallback,
-			Choice:         dec.Choice.String(),
-		}
-		fb.FallbackIntrinsic = core.FallbackIntrinsic(fb.SerialFallback)
-		if fb.Morsels > 0 {
-			fb.MorselNs = fb.ExecNs / fb.Morsels
-		}
-		for _, ev := range tr.Events() {
-			if ev.Name == obs.EvTierSwitch && fb.TierUpMorsel < 0 {
-				for _, a := range ev.Args {
-					if a.Key == "morsel" {
-						fb.TierUpMorsel = a.Val
-					}
-				}
-			}
-		}
-		db.pcache.RecordFeedback(autoKey, fb)
-	}
-	return res, nil
+	return res, autoKey, nil
 }
 
 // analyze parses and binds a SELECT without running it. Caller holds db.mu.
