@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify fuzz lint-layers bench-smoke
+.PHONY: build test verify fuzz lint-layers lint-dispatch bench-smoke
 
 build:
 	$(GO) build ./...
@@ -12,8 +12,9 @@ test:
 # observability layering invariant, and run the full suite under the race
 # detector (the guardrail watchdog, background tier-up, and the parallel
 # morsel worker pool — including the fault-injection and cancellation tests
-# in internal/core/parallel_test.go — are concurrency-heavy paths).
-verify: lint-layers
+# in internal/core/parallel_test.go — are concurrency-heavy paths). It also
+# checks that the optimizing tier's dispatch is still a jump table.
+verify: lint-layers lint-dispatch
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race ./...
@@ -59,6 +60,22 @@ lint-layers:
 		exit 1; \
 	fi
 	@echo "lint-layers: ok (internal/obs imports stdlib only; plancache between core/engine and the API; server above the API; autopilot beside the planner; only obs.QueryProfile reads a trace)"
+
+# The optimizing tier's register VM, turbofan.(*Code).run, dispatches every
+# instruction through one switch on its opcode. Go compiles the switch to an
+# indexed jump through a table only while its cases fill at least a quarter
+# of the range they span, and otherwise to a binary search over the cases,
+# which costs more per instruction than fused opcodes save. Fails unless the
+# function's assembly has an indexed JMP, so an opcode numbered far from the
+# others cannot silently slow dispatch.
+lint-dispatch:
+	@$(GO) build -gcflags=-S ./internal/engine/turbofan 2>&1 | \
+		awk '/^wasmdb\/internal\/engine\/turbofan\.\(\*Code\)\.run STEXT/ { inrun = 1; next } \
+		     /^[^ \t].* STEXT/ { inrun = 0 } \
+		     inrun && /\tJMP\t\(R[0-9A-Z]+\)\(R[0-9A-Z]+\*8\)/ { found = 1 } \
+		     END { exit !found }' || \
+		{ echo "lint-dispatch: turbofan.(*Code).run has no jump table; keep its opcodes dense (see internal/engine/turbofan/ops.go)" >&2; exit 1; }
+	@echo "lint-dispatch: ok (turbofan.(*Code).run dispatches through a jump table)"
 
 # bench-smoke runs one micro-benchmark per backend at a small scale, the
 # 1/2/4-worker scaling experiment, the plan-cache cold/warm experiment, the

@@ -97,6 +97,67 @@ func TestInterruptStopsSpinLoop(t *testing.T) {
 	}
 }
 
+// countedLoopModule builds "count"(n): a loop that counts i up to n with its
+// test at the top and a jump back to it. The optimizing tier inverts the
+// loop, so its back edge is the fused compare-immediate branch i <u n
+// copied to the bottom; n is a constant far beyond any fuel budget.
+func countedLoopModule() []byte {
+	b := wasm.NewModuleBuilder()
+	f := b.NewFunc("count", wasm.FuncType{Results: []wasm.ValType{wasm.I64}})
+	i := f.AddLocal(wasm.I64)
+	f.Block(wasm.BlockVoid)
+	f.Loop(wasm.BlockVoid)
+	f.LocalGet(i)
+	f.I64Const(1 << 62)
+	f.Op(wasm.OpI64GeU)
+	f.BrIf(1)
+	f.LocalGet(i)
+	f.I64Const(1)
+	f.I64Add()
+	f.LocalSet(i)
+	f.Br(0)
+	f.End()
+	f.End()
+	f.LocalGet(i)
+	b.Export("count", wasm.ExternFunc, f.Index)
+	return b.Bytes()
+}
+
+// TestFuelAndInterruptStopCountedLoop: the inverted back edge still charges
+// fuel and still polls for interrupts on every iteration.
+func TestFuelAndInterruptStopCountedLoop(t *testing.T) {
+	bin := countedLoopModule()
+	for _, tier := range tiers {
+		m, err := New(Config{Tier: tier}).Compile(bin)
+		if err != nil {
+			t.Fatalf("%v compile: %v", tier, err)
+		}
+		if err := m.WaitOptimized(); err != nil {
+			t.Fatal(err)
+		}
+		inst, err := m.Instantiate(Imports{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst.SetFuel(10000)
+		if _, err := inst.Call("count"); !errors.Is(err, ErrFuelExhausted) {
+			t.Fatalf("%v: count returned %v, want ErrFuelExhausted", tier, err)
+		}
+		if left := inst.FuelLeft(); left != 0 {
+			t.Errorf("%v: FuelLeft after exhaustion = %d, want 0", tier, left)
+		}
+
+		inst.SetFuel(1 << 60) // effectively unlimited; metering = interruptible
+		go func() {
+			time.Sleep(10 * time.Millisecond)
+			inst.Interrupt()
+		}()
+		if _, err := inst.Call("count"); !errors.Is(err, ErrInterrupted) {
+			t.Fatalf("%v: count returned %v, want ErrInterrupted", tier, err)
+		}
+	}
+}
+
 func TestMemoryBudget(t *testing.T) {
 	b := wasm.NewModuleBuilder()
 	b.AddMemory(1, 200)

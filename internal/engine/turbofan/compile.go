@@ -63,7 +63,7 @@ type lctrl struct {
 	height    int
 	arity     int
 	startPC   int
-	patches   []int // instruction indices whose imm awaits this label's end pc
+	patches   []int // instruction indices whose target (d) awaits this label's end pc
 	elsePatch int
 	endLive   bool
 	liveIn    bool
@@ -134,7 +134,7 @@ func (lo *lowerer) branch(depth uint64, conditional bool) error {
 	if !conditional {
 		if t.isLoop {
 			lo.unwindMoves(t.height, 0)
-			lo.emit(tin{op: tJump, imm: uint64(t.startPC)})
+			lo.emit(tin{op: tJump, d: int32(t.startPC)})
 		} else {
 			lo.unwindMoves(t.height, t.arity)
 			t.patches = append(t.patches, lo.emit(tin{op: tJump}))
@@ -144,7 +144,7 @@ func (lo *lowerer) branch(depth uint64, conditional bool) error {
 	}
 	if !needMoves {
 		if t.isLoop {
-			lo.emit(tin{op: tJumpIfNot, a: cond, imm: uint64(t.startPC)})
+			lo.emit(tin{op: tJumpIfNot, a: cond, d: int32(t.startPC)})
 		} else {
 			t.patches = append(t.patches, lo.emit(tin{op: tJumpIfNot, a: cond}))
 			t.endLive = true
@@ -156,13 +156,13 @@ func (lo *lowerer) branch(depth uint64, conditional bool) error {
 	skip := lo.emit(tin{op: tJumpIfZero, a: cond})
 	if t.isLoop {
 		lo.unwindMoves(t.height, 0)
-		lo.emit(tin{op: tJump, imm: uint64(t.startPC)})
+		lo.emit(tin{op: tJump, d: int32(t.startPC)})
 	} else {
 		lo.unwindMoves(t.height, t.arity)
 		t.patches = append(t.patches, lo.emit(tin{op: tJump}))
 		t.endLive = true
 	}
-	lo.code.ins[skip].imm = uint64(lo.pc())
+	lo.code.ins[skip].d = int32(lo.pc())
 	return nil
 }
 
@@ -175,7 +175,7 @@ func (lo *lowerer) instr(in wasm.Instr) error {
 			t := &lo.ctrls[len(lo.ctrls)-1]
 			if t.liveIn {
 				if t.elsePatch >= 0 {
-					lo.code.ins[t.elsePatch].imm = uint64(lo.pc())
+					lo.code.ins[t.elsePatch].d = int32(lo.pc())
 					t.elsePatch = -1
 				}
 				lo.live = true
@@ -189,10 +189,10 @@ func (lo *lowerer) instr(in wasm.Instr) error {
 			}
 			endPC := lo.pc()
 			for _, p := range t.patches {
-				lo.code.ins[p].imm = uint64(endPC)
+				lo.code.ins[p].d = int32(endPC)
 			}
 			if t.elsePatch >= 0 {
-				lo.code.ins[t.elsePatch].imm = uint64(endPC)
+				lo.code.ins[t.elsePatch].d = int32(endPC)
 				t.endLive = t.endLive || t.liveIn
 			}
 			if t.endLive {
@@ -226,7 +226,7 @@ func (lo *lowerer) instr(in wasm.Instr) error {
 		t.patches = append(t.patches, idx)
 		t.endLive = true
 		if t.elsePatch >= 0 {
-			lo.code.ins[t.elsePatch].imm = uint64(lo.pc())
+			lo.code.ins[t.elsePatch].d = int32(lo.pc())
 			t.elsePatch = -1
 		}
 		lo.height = t.height
@@ -239,10 +239,10 @@ func (lo *lowerer) instr(in wasm.Instr) error {
 		}
 		endPC := lo.pc()
 		if t.elsePatch >= 0 {
-			lo.code.ins[t.elsePatch].imm = uint64(endPC)
+			lo.code.ins[t.elsePatch].d = int32(endPC)
 		}
 		for _, p := range t.patches {
-			lo.code.ins[p].imm = uint64(endPC)
+			lo.code.ins[p].d = int32(endPC)
 		}
 		lo.height = t.height + t.arity
 		if lo.height > lo.code.MaxStack {
@@ -274,7 +274,7 @@ func (lo *lowerer) instr(in wasm.Instr) error {
 			entries = append(entries, uint32(lo.pc()))
 			if t.isLoop {
 				lo.unwindMoves(t.height, 0)
-				lo.emit(tin{op: tJump, imm: uint64(t.startPC)})
+				lo.emit(tin{op: tJump, d: int32(t.startPC)})
 			} else {
 				lo.unwindMoves(t.height, t.arity)
 				t.patches = append(t.patches, lo.emit(tin{op: tJump}))

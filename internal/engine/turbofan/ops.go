@@ -1,9 +1,18 @@
 // Package turbofan is the optimizing tier of the execution engine, named
 // after V8's optimizing compiler. It compiles validated WebAssembly into
 // register-machine code: the operand stack is eliminated (every stack slot
-// maps to a fixed virtual register), then block-local constant folding, copy
-// propagation, compare-and-branch fusion, jump threading, and global
-// liveness-based dead-code elimination run over the basic-block graph.
+// maps to a fixed virtual register), then rounds of four passes run over the
+// basic-block graph:
+//   - block-local constant folding and copy propagation, which also turns
+//     constant operands into immediates (d ← a op imm), fuses the address
+//     computation feeding a load into the load, and makes a def write
+//     straight to the local a following move copies it to;
+//   - compare-and-branch fusion, for register and immediate operands;
+//   - jump threading;
+//   - global liveness-based dead-code elimination.
+//
+// Linearization then inverts loops whose back edge jumps to a short test.
+// Each of these cuts the instructions the register VM dispatches per row.
 // Compilation costs several passes — an order of magnitude more than liftoff
 // — and yields correspondingly faster code, reproducing the tier asymmetry
 // the paper's architecture delegates to V8 (§2.2).
@@ -18,20 +27,26 @@ import (
 )
 
 // tin is a three-address register instruction. Simple value operations reuse
-// the wasm.Opcode numbering (d ← a op b); extended opcodes ≥ 0x100 cover
-// control flow, calls, and fused forms.
+// the wasm.Opcode numbering (d ← a op b); the extended opcodes below cover
+// control flow, calls and the fused forms the optimizer makes. A branch keeps
+// its target in d (a block id while optimizing, a pc after linearization),
+// which leaves imm free for a compare-immediate branch's constant.
 type tin struct {
 	op      uint16
 	d, a, b int32
 	imm     uint64
 }
 
-// Extended opcodes.
+// Extended opcodes, numbered from 0x100 with no gaps. The switch in
+// (*Code).run compiles to one jump table only while its cases fill at least
+// a quarter of the range they span; past that Go emits a binary search over
+// the cases, which costs more per instruction than the fused forms save.
+// `make lint-dispatch` checks that the jump table is there.
 const (
 	tMove         = 0x100 + iota // d ← a
-	tJump                        // imm = target block
-	tJumpIfZero                  // if a == 0 goto imm
-	tJumpIfNot                   // if a != 0 goto imm
+	tJump                        // goto d
+	tJumpIfZero                  // if a == 0 goto d
+	tJumpIfNot                   // if a != 0 goto d
 	tBrTable                     // switch a over tables[imm]
 	tRet                         // return; results in regs [nLocals, nLocals+nResults)
 	tCall                        // call imm; args at regs [a, a+np), results at [a, a+nr); b = np<<16|nr
@@ -43,16 +58,90 @@ const (
 	tGlobalGet                   // d ← globals[imm]
 	tGlobalSet                   // globals[imm] ← a
 	tNop                         // removed at linearization
+
+	// tBrCmp+k: if comparison k of (a, b) holds, goto d.
+	tBrCmp
+	// tBrCmpNot+(k-cmpF32Eq): if float comparison k of (a, b) fails, goto
+	// d. An integer comparison is negated by switching its kind instead.
+	tBrCmpNot = tBrCmp + numCmpKinds
+	// tBrCmpImm+k: if integer comparison k of (a, imm) holds, goto d.
+	tBrCmpImm = tBrCmpNot + numCmpKinds - cmpF32Eq
+	// tCmpImm+k: d ← integer comparison k of (a, imm).
+	tCmpImm = tBrCmpImm + cmpF32Eq
+	// Register-immediate arithmetic, d ← a op imm, in binImmOps order.
+	tBinImm = tCmpImm + cmpF32Eq
+	// Fused address-mode loads, one per loadWidth, zero-extending:
+	//   tLoadAdd+w:    d ← mem[u32(a + b) + imm]
+	//   tLoadAddImm+w: d ← mem[u32(a + u32(b)) + imm]
+	//   tLoadShl+w:    d ← mem[u32(a << b) + imm]
+	//   tLoadConst+w:  d ← mem[imm]
+	// The base wraps to 32 bits and the offset is added unwrapped, exactly
+	// as the i32.add or i32.shl feeding a Wasm load computes it. A constant
+	// base is added to the offset at compile time, when the sum is in range.
+	tLoadAdd    = tI64ShrUImm + 1
+	tLoadAddImm = tLoadAdd + numLoadWidths
+	tLoadShl    = tLoadAddImm + numLoadWidths
+	tLoadConst  = tLoadShl + numLoadWidths
+	numOps      = tLoadConst + numLoadWidths
 )
 
-// Fused compare-and-branch opcodes: tBrCmpBase+k branches to imm when
-// comparison k of (a, b) is true; tBrCmpNotBase+k branches when it is false.
-// k indexes the comparison kinds below.
+// binImmOps lists the binary operations with a register-immediate form.
+// i32 immediates are stored zero-extended. Subtraction has no form of its
+// own: x - c becomes x + (-c).
+var binImmOps = [tLoadAdd - tBinImm]wasm.Opcode{
+	wasm.OpI32Add, wasm.OpI32Mul, wasm.OpI32And, wasm.OpI32Or, wasm.OpI32Xor,
+	wasm.OpI32Shl, wasm.OpI32ShrS, wasm.OpI32ShrU,
+	wasm.OpI64Add, wasm.OpI64Mul, wasm.OpI64And, wasm.OpI64Or, wasm.OpI64Xor,
+	wasm.OpI64Shl, wasm.OpI64ShrS, wasm.OpI64ShrU,
+}
+
+// The register-immediate opcodes, named for run's switch.
 const (
-	tBrCmpBase    = 0x200
-	tBrCmpNotBase = 0x240
-	numCmpKinds   = 32
+	tI32AddImm = tBinImm + iota
+	tI32MulImm
+	tI32AndImm
+	tI32OrImm
+	tI32XorImm
+	tI32ShlImm
+	tI32ShrSImm
+	tI32ShrUImm
+	tI64AddImm
+	tI64MulImm
+	tI64AndImm
+	tI64OrImm
+	tI64XorImm
+	tI64ShlImm
+	tI64ShrSImm
+	tI64ShrUImm
 )
+
+// Load widths of the fused loads. Every zero-extending load maps onto one;
+// sign-extending loads are not fused.
+const (
+	ldU8 = iota
+	ldU16
+	ldU32
+	ldU64
+	numLoadWidths
+)
+
+// loadSize is the access size in bytes of each load width.
+var loadSize = [numLoadWidths]uint64{ldU8: 1, ldU16: 2, ldU32: 4, ldU64: 8}
+
+// loadWidth returns the fused-load width of a wasm load opcode.
+func loadWidth(op uint16) (int, bool) {
+	switch wasm.Opcode(op) {
+	case wasm.OpI32Load8U, wasm.OpI64Load8U:
+		return ldU8, true
+	case wasm.OpI32Load16U, wasm.OpI64Load16U:
+		return ldU16, true
+	case wasm.OpI32Load, wasm.OpF32Load, wasm.OpI64Load32U:
+		return ldU32, true
+	case wasm.OpI64Load, wasm.OpF64Load:
+		return ldU64, true
+	}
+	return 0, false
+}
 
 // Comparison kind indices.
 const (
@@ -88,7 +177,50 @@ const (
 	cmpF64Gt
 	cmpF64Le
 	cmpF64Ge
+	numCmpKinds
 )
+
+// negCmp[k] is the integer comparison that holds exactly when k fails.
+// Float comparisons have no such partner (NaN fails both), so they
+// branch through tBrCmpNot instead.
+var negCmp = [cmpF32Eq]uint8{
+	cmpI32Eq: cmpI32Ne, cmpI32Ne: cmpI32Eq,
+	cmpI32LtS: cmpI32GeS, cmpI32LtU: cmpI32GeU, cmpI32GtS: cmpI32LeS, cmpI32GtU: cmpI32LeU,
+	cmpI32LeS: cmpI32GtS, cmpI32LeU: cmpI32GtU, cmpI32GeS: cmpI32LtS, cmpI32GeU: cmpI32LtU,
+	cmpI64Eq: cmpI64Ne, cmpI64Ne: cmpI64Eq,
+	cmpI64LtS: cmpI64GeS, cmpI64LtU: cmpI64GeU, cmpI64GtS: cmpI64LeS, cmpI64GtU: cmpI64LeU,
+	cmpI64LeS: cmpI64GtS, cmpI64LeU: cmpI64GtU, cmpI64GeS: cmpI64LtS, cmpI64GeU: cmpI64LtU,
+}
+
+// swapCmp[k] is the integer comparison of (y, x) equal to k of (x, y).
+var swapCmp = [cmpF32Eq]uint8{
+	cmpI32Eq: cmpI32Eq, cmpI32Ne: cmpI32Ne,
+	cmpI32LtS: cmpI32GtS, cmpI32LtU: cmpI32GtU, cmpI32GtS: cmpI32LtS, cmpI32GtU: cmpI32LtU,
+	cmpI32LeS: cmpI32GeS, cmpI32LeU: cmpI32GeU, cmpI32GeS: cmpI32LeS, cmpI32GeU: cmpI32LeU,
+	cmpI64Eq: cmpI64Eq, cmpI64Ne: cmpI64Ne,
+	cmpI64LtS: cmpI64GtS, cmpI64LtU: cmpI64GtU, cmpI64GtS: cmpI64LtS, cmpI64GtU: cmpI64LtU,
+	cmpI64LeS: cmpI64GeS, cmpI64LeU: cmpI64GeU, cmpI64GeS: cmpI64LeS, cmpI64GeU: cmpI64LeU,
+}
+
+// negBranch returns the conditional branch with the same operands and
+// target that is taken exactly when op is not.
+func negBranch(op uint16) uint16 {
+	switch {
+	case op == tJumpIfZero:
+		return tJumpIfNot
+	case op == tJumpIfNot:
+		return tJumpIfZero
+	case op >= tBrCmp && op < tBrCmp+cmpF32Eq:
+		return tBrCmp + uint16(negCmp[op-tBrCmp])
+	case op >= tBrCmp+cmpF32Eq && op < tBrCmpNot:
+		return tBrCmpNot + op - (tBrCmp + cmpF32Eq)
+	case op >= tBrCmpNot && op < tBrCmpImm:
+		return tBrCmp + cmpF32Eq + op - tBrCmpNot
+	case op >= tBrCmpImm && op < tCmpImm:
+		return tBrCmpImm + uint16(negCmp[op-tBrCmpImm])
+	}
+	panic("turbofan: negBranch of a non-conditional op")
+}
 
 // cmpKind maps a wasm comparison opcode to its kind index; ok=false for
 // non-comparison opcodes (including eqz, which fuses differently).
@@ -310,40 +442,105 @@ func pureEval(op uint16, x, y uint64) (uint64, bool) {
 type opKind uint8
 
 const (
-	kindOther  opKind = iota // calls, branches, returns — handled specially
-	kindBin                  // d ← a op b (pure unless trapping)
-	kindUn                   // d ← op a
-	kindConst                // d ← imm
-	kindMove                 // d ← a
-	kindLoad                 // d ← mem[a+imm]
-	kindStore                // mem[a+imm] ← b
-	kindSelect               // d ← regs[imm] ? a : b
+	kindOther     opKind = iota // calls, branches, globals, memory size/grow
+	kindBin                     // d ← a op b (pure unless trapping)
+	kindUn                      // d ← op a
+	kindConst                   // d ← imm
+	kindMove                    // d ← a
+	kindLoad                    // d ← mem[a+imm]
+	kindStore                   // mem[a+imm] ← b
+	kindSelect                  // d ← regs[imm] ? a : b
+	kindBinImm                  // d ← a op imm (tCmpImm and tBinImm)
+	kindLoadFused               // d ← mem[addr(a, b)+imm]
 )
 
-// classify returns the kind plus whether the op may trap (and therefore must
-// not be removed by DCE even when its result is dead).
-func classify(op uint16) (opKind, bool) {
-	switch op {
-	case tMove:
-		return kindMove, false
-	case tSelect:
-		return kindSelect, false
-	case tMemoryGrow:
-		return kindOther, false
+// opInfo describes one opcode for the passes: its kind, whether it may trap
+// (so DCE must keep it even when its result is dead), which of a and b it
+// reads, whether it writes d, and how it transfers control. tSelect's
+// condition register, calls and tRet read registers beyond a and b; see
+// (*optimizer).liveStep.
+type opInfo struct {
+	kind                   opKind
+	traps                  bool
+	useA, useB, def        bool
+	branch, uncond, target bool
+}
+
+var opInfos [numOps]opInfo
+
+// immForms maps a wasm opcode to its register-immediate form (0 if none),
+// and immBase maps the form back.
+var (
+	immForms [0x100]uint16
+	immBase  [numOps]uint16
+)
+
+func init() {
+	for op := range opInfos {
+		opInfos[op] = classify(uint16(op))
 	}
-	if op >= 0x100 {
-		return kindOther, false
+	for i, op := range binImmOps {
+		immForms[op] = uint16(tBinImm + i)
+		immBase[tBinImm+i] = uint16(op)
+	}
+	immForms[wasm.OpI32Sub] = tI32AddImm // with the constant negated
+	immForms[wasm.OpI64Sub] = tI64AddImm
+	for k := 0; k < cmpF32Eq; k++ {
+		op := uint16(wasm.OpI32Eq) + uint16(k)
+		if k >= cmpI64Eq {
+			op = uint16(wasm.OpI64Eq) + uint16(k-cmpI64Eq)
+		}
+		immForms[op] = uint16(tCmpImm + k)
+		immBase[tCmpImm+k] = op
+	}
+}
+
+// classify builds the opInfo of one opcode.
+func classify(op uint16) opInfo {
+	switch {
+	case op == tMove:
+		return opInfo{kind: kindMove, useA: true, def: true}
+	case op == tSelect:
+		return opInfo{kind: kindSelect, useA: true, useB: true, def: true}
+	case op == tJump:
+		return opInfo{branch: true, uncond: true, target: true}
+	case op == tRet, op == tUnreachable:
+		return opInfo{branch: true, uncond: true}
+	case op == tBrTable:
+		return opInfo{useA: true, branch: true, uncond: true}
+	case op == tJumpIfZero, op == tJumpIfNot:
+		return opInfo{useA: true, branch: true, target: true}
+	case op >= tBrCmp && op < tBrCmpImm:
+		return opInfo{useA: true, useB: true, branch: true, target: true}
+	case op >= tBrCmpImm && op < tCmpImm:
+		return opInfo{useA: true, branch: true, target: true}
+	case op >= tCmpImm && op < tLoadAdd:
+		return opInfo{kind: kindBinImm, useA: true, def: true}
+	case op >= tLoadAdd && op < tLoadAddImm:
+		return opInfo{kind: kindLoadFused, traps: true, useA: true, useB: true, def: true}
+	case op >= tLoadAddImm && op < tLoadConst:
+		return opInfo{kind: kindLoadFused, traps: true, useA: true, def: true}
+	case op >= tLoadConst && op < numOps:
+		return opInfo{kind: kindLoadFused, traps: true, def: true}
+	case op == tMemorySize, op == tGlobalGet:
+		return opInfo{def: true}
+	case op == tMemoryGrow:
+		return opInfo{useA: true, def: true}
+	case op == tGlobalSet:
+		return opInfo{useA: true}
+	case op >= 0x100:
+		return opInfo{}
 	}
 	wop := wasm.Opcode(op)
 	switch wop {
 	case wasm.OpI32Const, wasm.OpI64Const, wasm.OpF32Const, wasm.OpF64Const:
-		return kindConst, false
+		return opInfo{kind: kindConst, def: true}
 	}
 	if wop >= wasm.OpI32Load && wop <= wasm.OpI64Load32U {
-		return kindLoad, true
+		return opInfo{kind: kindLoad, traps: true, useA: true, def: true}
 	}
 	if wop >= wasm.OpI32Store && wop <= wasm.OpI64Store32 {
-		return kindStore, true
+		return opInfo{kind: kindStore, traps: true, useA: true, useB: true}
 	}
 	if in, out, ok := wop.InOut(); ok {
 		traps := false
@@ -355,11 +552,11 @@ func classify(op uint16) (opKind, bool) {
 			traps = true
 		}
 		if in == 2 && out == 1 {
-			return kindBin, traps
+			return opInfo{kind: kindBin, traps: traps, useA: true, useB: true, def: true}
 		}
 		if in == 1 && out == 1 {
-			return kindUn, traps
+			return opInfo{kind: kindUn, traps: traps, useA: true, def: true}
 		}
 	}
-	return kindOther, false
+	return opInfo{}
 }

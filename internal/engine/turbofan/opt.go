@@ -2,9 +2,9 @@ package turbofan
 
 import "wasmdb/internal/wasm"
 
-// A block is a basic block; branch instruction imm fields hold target block
-// ids while optimization runs, and the block falls through to its successor
-// in graph order unless it ends in an unconditional transfer.
+// A block is a basic block; branch instructions hold target block ids in d
+// while optimization runs, and the block falls through to its successor in
+// graph order unless it ends in an unconditional transfer.
 type block struct {
 	ins []tin
 }
@@ -14,34 +14,6 @@ type graph struct {
 	tables [][]uint32 // entries are block ids during optimization
 }
 
-// isBranch reports whether op transfers control, and whether it is
-// unconditional (ends fallthrough).
-func isBranch(op uint16) (branch, uncond bool) {
-	switch {
-	case op == tJump:
-		return true, true
-	case op == tRet, op == tUnreachable:
-		return true, true
-	case op == tJumpIfZero, op == tJumpIfNot:
-		return true, false
-	case op == tBrTable:
-		return true, true
-	case op >= tBrCmpBase && op < tBrCmpBase+numCmpKinds,
-		op >= tBrCmpNotBase && op < tBrCmpNotBase+numCmpKinds:
-		return true, false
-	}
-	return false, false
-}
-
-// hasTarget reports whether the branch op's imm is a jump target.
-func hasTarget(op uint16) bool {
-	if op == tRet || op == tUnreachable || op == tBrTable {
-		return false
-	}
-	b, _ := isBranch(op)
-	return b
-}
-
 // buildBlocks splits linear code (with pc targets) into basic blocks and
 // rewrites targets to block ids.
 func buildBlocks(ins []tin, tables [][]uint32) *graph {
@@ -49,12 +21,13 @@ func buildBlocks(ins []tin, tables [][]uint32) *graph {
 	leader := make([]bool, n+1)
 	leader[0] = true
 	for i, t := range ins {
-		if br, _ := isBranch(t.op); !br {
+		info := &opInfos[t.op]
+		if !info.branch {
 			continue
 		}
 		leader[i+1] = true
-		if hasTarget(t.op) {
-			leader[t.imm] = true
+		if info.target {
+			leader[t.d] = true
 		}
 	}
 	for _, tbl := range tables {
@@ -91,8 +64,8 @@ func buildBlocks(ins []tin, tables [][]uint32) *graph {
 	for bi := range g.blocks {
 		for ii := range g.blocks[bi].ins {
 			t := &g.blocks[bi].ins[ii]
-			if hasTarget(t.op) {
-				t.imm = uint64(blockOf[t.imm])
+			if opInfos[t.op].target {
+				t.d = int32(blockOf[t.d])
 			}
 		}
 	}
@@ -112,16 +85,16 @@ func (g *graph) successors(bi int, dst []int) []int {
 	fall := true
 	if len(ins) > 0 {
 		last := ins[len(ins)-1]
-		if br, uncond := isBranch(last.op); br {
-			if hasTarget(last.op) {
-				dst = append(dst, int(last.imm))
+		if info := &opInfos[last.op]; info.branch {
+			if info.target {
+				dst = append(dst, int(last.d))
 			}
 			if last.op == tBrTable {
 				for _, t := range g.tables[last.imm] {
 					dst = append(dst, int(t))
 				}
 			}
-			fall = !uncond
+			fall = !info.uncond
 		}
 	}
 	if fall && bi+1 < len(g.blocks) {
@@ -143,7 +116,7 @@ type optimizer struct {
 
 func (o *optimizer) run() {
 	if o.rounds <= 0 {
-		o.rounds = 2
+		o.rounds = DefaultOptRounds
 	}
 	for round := 0; round < o.rounds; round++ {
 		o.foldBlocks()
@@ -157,204 +130,335 @@ func (o *optimizer) run() {
 	}
 }
 
-// regUses calls fn for every register read by t.
-func (o *optimizer) regUses(t *tin, fn func(r int32)) {
-	kind, _ := classify(t.op)
-	switch kind {
-	case kindBin:
-		fn(t.a)
-		fn(t.b)
-	case kindUn, kindLoad, kindMove:
-		fn(t.a)
-	case kindStore:
-		fn(t.a)
-		fn(t.b)
-	case kindSelect:
-		fn(t.a)
-		fn(t.b)
-		fn(int32(t.imm))
-	case kindConst:
-	default:
-		switch {
-		case t.op == tJumpIfZero || t.op == tJumpIfNot || t.op == tMemoryGrow ||
-			t.op == tGlobalSet || t.op == tBrTable:
-			fn(t.a)
-		case t.op >= tBrCmpBase && t.op < tBrCmpNotBase+numCmpKinds && t.op >= 0x200:
-			fn(t.a)
-			fn(t.b)
-		case t.op == tCall:
-			np := int32(t.b >> 16)
-			for r := t.a; r < t.a+np; r++ {
-				fn(r)
-			}
-		case t.op == tCallIndirect:
-			np := int32(t.b >> 16)
-			for r := t.a; r <= t.a+np; r++ {
-				fn(r)
-			}
-		case t.op == tRet:
-			for i := 0; i < o.code.NResults; i++ {
-				fn(int32(o.code.NLocals + i))
-			}
+// regSet is a bit set of registers.
+type regSet []uint64
+
+func (s regSet) add(r int32)      { s[r>>6] |= 1 << (r & 63) }
+func (s regSet) del(r int32)      { s[r>>6] &^= 1 << (r & 63) }
+func (s regSet) has(r int32) bool { return s[r>>6]&(1<<(r&63)) != 0 }
+
+// liveStep applies t backwards to the live set: its defs die, its uses
+// become live.
+func (o *optimizer) liveStep(live regSet, t *tin) {
+	info := &opInfos[t.op]
+	if info.def {
+		live.del(t.d)
+	}
+	if info.useA {
+		live.add(t.a)
+	}
+	if info.useB {
+		live.add(t.b)
+	}
+	switch t.op {
+	case tSelect:
+		live.add(int32(t.imm))
+	case tCall, tCallIndirect:
+		np, nr := t.b>>16, t.b&0xFFFF
+		for r := t.a; r < t.a+nr; r++ {
+			live.del(r)
+		}
+		if t.op == tCallIndirect {
+			np++ // the table index
+		}
+		for r := t.a; r < t.a+np; r++ {
+			live.add(r)
+		}
+	case tRet:
+		for i := 0; i < o.code.NResults; i++ {
+			live.add(int32(o.code.NLocals + i))
 		}
 	}
 }
 
-// regDefs calls fn for every register written by t.
-func (o *optimizer) regDefs(t *tin, fn func(r int32)) {
-	kind, _ := classify(t.op)
-	switch kind {
-	case kindBin, kindUn, kindLoad, kindMove, kindConst, kindSelect:
-		fn(t.d)
-	default:
-		switch t.op {
-		case tMemorySize, tMemoryGrow, tGlobalGet:
-			fn(t.d)
-		case tCall:
-			nr := int32(t.b & 0xFFFF)
-			for r := t.a; r < t.a+nr; r++ {
-				fn(r)
-			}
-		case tCallIndirect:
-			nr := int32(t.b & 0xFFFF)
-			for r := t.a; r < t.a+nr; r++ {
-				fn(r)
-			}
+// regFact is what foldBlocks knows about a register's current value. It
+// holds until the register's next def, which resets it.
+type regFact struct {
+	kind uint8
+	// op is the address computation of a factAddr: i32.add, tI32AddImm or
+	// tI32ShlImm.
+	op uint16
+	// a and b are the source registers, valid while they keep the def
+	// generations aGen and bGen.
+	a, b       int32
+	aGen, bGen uint32
+	val        uint64
+}
+
+const (
+	factNone  = iota
+	factConst // the value is val
+	factCopy  // the value equals register a
+	factAddr  // the value is op(a, b) or op(a, val): a load may fuse it
+)
+
+// folder holds foldBlocks' dataflow facts. Every def bumps a generation
+// counter and stamps the register with it, so a def invalidates every fact
+// derived from the register in O(1): such a fact is valid only while its
+// sources keep the generations it recorded. A new block starts a
+// generation too, which expires every fact from the blocks before it.
+type folder struct {
+	gen, blockGen uint32
+	defGen        []uint32
+	facts         []regFact
+}
+
+func (f *folder) def(r int32) *regFact {
+	f.gen++
+	f.defGen[r] = f.gen
+	p := &f.facts[r]
+	*p = regFact{}
+	return p
+}
+
+func (f *folder) fact(r int32, kind uint8) *regFact {
+	if p := &f.facts[r]; p.kind == kind && f.defGen[r] > f.blockGen {
+		return p
+	}
+	return nil
+}
+
+func (f *folder) constOf(r int32) (uint64, bool) {
+	if p := f.fact(r, factConst); p != nil {
+		return p.val, true
+	}
+	return 0, false
+}
+
+// resolve returns the register r is currently a copy of, or r.
+func (f *folder) resolve(r int32) int32 {
+	if p := f.fact(r, factCopy); p != nil && f.defGen[p.a] == p.aGen {
+		return p.a
+	}
+	return r
+}
+
+func (f *folder) setConst(t *tin, v uint64) {
+	*t = tin{op: uint16(wasm.OpI64Const), d: t.d, imm: v}
+	p := f.def(t.d)
+	p.kind, p.val = factConst, v
+}
+
+// setMove makes t the copy d ← src, a constant when src is one, or nothing
+// when d already holds src.
+func (f *folder) setMove(t *tin, src int32) {
+	if v, ok := f.constOf(src); ok {
+		f.setConst(t, v)
+		return
+	}
+	if src == t.d {
+		*t = tin{op: tNop}
+		return
+	}
+	*t = tin{op: tMove, d: t.d, a: src}
+	g := f.defGen[src]
+	p := f.def(t.d)
+	p.kind, p.a, p.aGen = factCopy, src, g
+}
+
+// retarget makes def write the local the following move copies its result
+// to, and turns the move around: s ← op …; L ← s becomes L ← op …; s ← L.
+// Later uses of s then read L through the copy, and DCE removes the move
+// once s is dead. Only locals are targets: fuseBranches relies on a compare
+// that writes an operand-stack slot being popped by the branch after it.
+func (f *folder) retarget(def, mv *tin) {
+	s, l := def.d, mv.d
+	fact := f.facts[s]
+	def.d = l
+	*f.def(l) = fact
+	*mv = tin{op: tMove, d: s, a: l}
+	g := f.defGen[l]
+	q := f.def(s)
+	q.kind, q.a, q.aGen = factCopy, l, g
+}
+
+// retargetable reports whether op computes a value into d alone, so that
+// foldBlocks may make it write another register. Moves and constants need
+// no retargeting: the copy and constant facts already forward them.
+func retargetable(op uint16) bool {
+	info := &opInfos[op]
+	return info.def && info.kind != kindMove && info.kind != kindConst
+}
+
+// defValue records t's def, with an address fact when t computes one.
+func (f *folder) defValue(t *tin) {
+	var addr regFact
+	switch t.op {
+	case uint16(wasm.OpI32Add):
+		addr = regFact{kind: factAddr, op: t.op, a: t.a, b: t.b, aGen: f.defGen[t.a], bGen: f.defGen[t.b]}
+	case tI32AddImm, tI32ShlImm:
+		addr = regFact{kind: factAddr, op: t.op, a: t.a, aGen: f.defGen[t.a], val: t.imm}
+	}
+	*f.def(t.d) = addr
+}
+
+// swapOperands returns the opcode computing op(b, a) as op'(a, b): op itself
+// when it commutes, the mirrored kind for an integer comparison.
+func swapOperands(op uint16) (uint16, bool) {
+	switch wasm.Opcode(op) {
+	case wasm.OpI32Add, wasm.OpI32Mul, wasm.OpI32And, wasm.OpI32Or, wasm.OpI32Xor,
+		wasm.OpI64Add, wasm.OpI64Mul, wasm.OpI64And, wasm.OpI64Or, wasm.OpI64Xor:
+		return op, true
+	}
+	if k, ok := cmpKind(op); ok && k < cmpF32Eq {
+		return immBase[tCmpImm+int(swapCmp[k])], true
+	}
+	return 0, false
+}
+
+// foldBin folds d ← a op b: two constants fold to one, and a constant right
+// operand (or left, for an op that can swap them) becomes an immediate.
+func (f *folder) foldBin(t *tin) {
+	ca, aok := f.constOf(t.a)
+	cb, bok := f.constOf(t.b)
+	if aok && bok {
+		if v, ok := pureEval(t.op, ca, cb); ok {
+			f.setConst(t, v)
+			return
 		}
+	}
+	if aok && !bok {
+		if op, ok := swapOperands(t.op); ok {
+			t.op, t.a, t.b, cb, bok = op, t.b, t.a, ca, true
+		}
+	}
+	if form := immForms[t.op]; bok && form != 0 {
+		switch wasm.Opcode(t.op) {
+		case wasm.OpI32Sub:
+			cb = uint64(-uint32(cb))
+		case wasm.OpI64Sub:
+			cb = -cb
+		}
+		*t = tin{op: form, d: t.d, a: t.a, imm: cb}
+		f.foldBinImm(t)
+		return
+	}
+	f.defValue(t)
+}
+
+// foldBinImm folds d ← a op imm when a is a constant.
+func (f *folder) foldBinImm(t *tin) {
+	if ca, ok := f.constOf(t.a); ok {
+		if v, ok := pureEval(immBase[t.op], ca, t.imm); ok {
+			f.setConst(t, v)
+			return
+		}
+	}
+	f.defValue(t)
+}
+
+// foldLoad fuses the address computation feeding a zero-extending load into
+// it, when the computation's operands still hold the values it read, or
+// folds a constant base into the address.
+func (f *folder) foldLoad(t *tin) {
+	w, ok := loadWidth(t.op)
+	if c, isConst := f.constOf(t.a); ok && isConst {
+		// Out of range, the load traps; leave that to the unfused form.
+		if ea := uint64(uint32(c)) + t.imm; ea+loadSize[w] <= 1<<32 {
+			*t = tin{op: uint16(tLoadConst + w), d: t.d, imm: ea}
+		}
+		f.def(t.d)
+		return
+	}
+	p := f.fact(t.a, factAddr)
+	if ok && p != nil && f.defGen[p.a] == p.aGen {
+		switch p.op {
+		case uint16(wasm.OpI32Add):
+			if f.defGen[p.b] == p.bGen {
+				*t = tin{op: uint16(tLoadAdd + w), d: t.d, a: p.a, b: p.b, imm: t.imm}
+			}
+		case tI32AddImm:
+			*t = tin{op: uint16(tLoadAddImm + w), d: t.d, a: p.a, b: int32(uint32(p.val)), imm: t.imm}
+		case tI32ShlImm:
+			*t = tin{op: uint16(tLoadShl + w), d: t.d, a: p.a, b: int32(p.val & 31), imm: t.imm}
+		}
+	}
+	f.def(t.d)
+}
+
+// takeBranch resolves a conditional branch whose outcome is known.
+func takeBranch(t *tin, taken bool) {
+	if taken {
+		*t = tin{op: tJump, d: t.d}
+	} else {
+		*t = tin{op: tNop}
 	}
 }
 
-// foldBlocks performs block-local constant propagation, copy propagation,
-// and constant folding.
+// foldBlocks performs block-local constant propagation, copy propagation
+// and constant folding. Along the way it turns constant operands into
+// immediates, fuses address computations into the loads that use them, and
+// writes defs straight to the local a following move copies them to.
 func (o *optimizer) foldBlocks() {
-	constKnown := make([]bool, o.nRegs)
-	constVal := make([]uint64, o.nRegs)
-	copySrc := make([]int32, o.nRegs)
+	f := &folder{defGen: make([]uint32, o.nRegs), facts: make([]regFact, o.nRegs)}
+	nLocals := int32(o.code.NLocals)
 	for bi := range o.g.blocks {
-		for i := range constKnown {
-			constKnown[i] = false
-			copySrc[i] = -1
-		}
+		f.gen++
+		f.blockGen = f.gen
 		ins := o.g.blocks[bi].ins
-		kill := func(d int32) {
-			constKnown[d] = false
-			copySrc[d] = -1
-			for r := range copySrc {
-				if copySrc[r] == d {
-					copySrc[r] = -1
-				}
-			}
-		}
+		prev := -1 // the last instruction before ii that is not a nop
 		for ii := range ins {
+			if ii > 0 && ins[ii-1].op != tNop {
+				prev = ii - 1
+			}
 			t := &ins[ii]
-			// Rewrite uses through available copies.
-			rewrite := func(r int32) int32 {
-				if s := copySrc[r]; s >= 0 {
-					return s
-				}
-				return r
+			info := &opInfos[t.op]
+			// Rewrite uses through available copies. Calls and rets use
+			// canonical registers and are not rewritten.
+			if info.useA {
+				t.a = f.resolve(t.a)
 			}
-			kind, _ := classify(t.op)
-			switch kind {
-			case kindBin:
-				t.a, t.b = rewrite(t.a), rewrite(t.b)
-			case kindUn, kindLoad, kindMove:
-				t.a = rewrite(t.a)
-			case kindStore:
-				t.a, t.b = rewrite(t.a), rewrite(t.b)
-			case kindSelect:
-				t.a, t.b = rewrite(t.a), rewrite(t.b)
-				t.imm = uint64(rewrite(int32(t.imm)))
-			default:
-				switch {
-				case t.op == tJumpIfZero || t.op == tJumpIfNot || t.op == tGlobalSet || t.op == tBrTable || t.op == tMemoryGrow:
-					t.a = rewrite(t.a)
-				case t.op >= tBrCmpBase && t.op < tBrCmpNotBase+numCmpKinds:
-					t.a, t.b = rewrite(t.a), rewrite(t.b)
-				}
-				// Calls and rets use canonical registers; no rewriting.
+			if info.useB {
+				t.b = f.resolve(t.b)
 			}
-
-			// Transform and update dataflow facts.
-			switch kind {
+			switch info.kind {
 			case kindConst:
-				kill(t.d)
-				constKnown[t.d] = true
-				constVal[t.d] = t.imm
+				p := f.def(t.d)
+				p.kind, p.val = factConst, t.imm
 			case kindMove:
-				if constKnown[t.a] {
-					v := constVal[t.a]
-					*t = tin{op: uint16(wasm.OpI64Const), d: t.d, imm: v}
-					kill(t.d)
-					constKnown[t.d] = true
-					constVal[t.d] = v
-				} else {
-					src := t.a
-					kill(t.d)
-					if src != t.d {
-						copySrc[t.d] = src
-					}
-				}
-			case kindBin:
-				if constKnown[t.a] && constKnown[t.b] {
-					if v, ok := pureEval(t.op, constVal[t.a], constVal[t.b]); ok {
-						*t = tin{op: uint16(wasm.OpI64Const), d: t.d, imm: v}
-						kill(t.d)
-						constKnown[t.d] = true
-						constVal[t.d] = v
-						continue
-					}
-				}
-				kill(t.d)
-			case kindUn:
-				if constKnown[t.a] {
-					if v, ok := pureEval(t.op, constVal[t.a], 0); ok {
-						*t = tin{op: uint16(wasm.OpI64Const), d: t.d, imm: v}
-						kill(t.d)
-						constKnown[t.d] = true
-						constVal[t.d] = v
-						continue
-					}
-				}
-				kill(t.d)
-			case kindSelect:
-				if cr := int32(t.imm); constKnown[cr] {
-					if constVal[cr] != 0 {
-						*t = tin{op: tMove, d: t.d, a: t.a}
-					} else {
-						*t = tin{op: tMove, d: t.d, a: t.b}
-					}
-					src := t.a
-					kill(t.d)
-					if constKnown[src] {
-						constKnown[t.d] = true
-						constVal[t.d] = constVal[src]
-					} else if src != t.d {
-						copySrc[t.d] = src
-					}
+				if prev >= 0 && t.d < nLocals && t.a != t.d && ins[prev].d == t.a && retargetable(ins[prev].op) {
+					f.retarget(&ins[prev], t)
 					continue
 				}
-				kill(t.d)
+				f.setMove(t, t.a)
+			case kindBin:
+				f.foldBin(t)
+			case kindBinImm:
+				f.foldBinImm(t)
+			case kindUn:
+				if ca, ok := f.constOf(t.a); ok {
+					if v, ok := pureEval(t.op, ca, 0); ok {
+						f.setConst(t, v)
+						continue
+					}
+				}
+				f.def(t.d)
+			case kindLoad:
+				f.foldLoad(t)
+			case kindSelect:
+				cr := f.resolve(int32(t.imm))
+				t.imm = uint64(cr)
+				if c, ok := f.constOf(cr); ok {
+					src := t.b
+					if c != 0 {
+						src = t.a
+					}
+					f.setMove(t, src)
+					continue
+				}
+				f.def(t.d)
 			default:
-				switch t.op {
-				case tJumpIfZero:
-					if constKnown[t.a] {
-						if constVal[t.a] == 0 {
-							*t = tin{op: tJump, imm: t.imm}
-						} else {
-							*t = tin{op: tNop}
-						}
+				switch {
+				case t.op == tJumpIfZero || t.op == tJumpIfNot:
+					if c, ok := f.constOf(t.a); ok {
+						takeBranch(t, (c == 0) == (t.op == tJumpIfZero))
 					}
-				case tJumpIfNot:
-					if constKnown[t.a] {
-						if constVal[t.a] != 0 {
-							*t = tin{op: tJump, imm: t.imm}
-						} else {
-							*t = tin{op: tNop}
-						}
+				case t.op == tCall || t.op == tCallIndirect:
+					for r := t.a; r < t.a+(t.b&0xFFFF); r++ {
+						f.def(r)
 					}
-				default:
-					o.regDefs(t, func(r int32) { kill(r) })
+				case info.def:
+					f.def(t.d)
 				}
 			}
 		}
@@ -378,46 +482,57 @@ func (o *optimizer) fuseBranches() {
 	nLocals := int32(o.code.NLocals)
 	for bi := range o.g.blocks {
 		ins := o.g.blocks[bi].ins
-		for i := 0; i+1 < len(ins); i++ {
-			def, br := &ins[i], &ins[i+1]
-			if br.op != tJumpIfZero && br.op != tJumpIfNot {
-				continue
-			}
-			if def.op == tNop || def.d < nLocals || br.a != def.d {
-				continue
-			}
-			// eqz feeding a branch flips polarity. Registers hold i32
-			// values zero-extended, so testing the full register is safe
-			// for i32.eqz as well.
-			if def.op == uint16(wasm.OpI32Eqz) || def.op == uint16(wasm.OpI64Eqz) {
-				flip := uint16(tJumpIfZero)
-				if br.op == tJumpIfZero {
-					flip = tJumpIfNot
-				}
-				*br = tin{op: flip, a: def.a, imm: br.imm}
-				*def = tin{op: tNop}
-				continue
-			}
+		i := lastLive(ins, len(ins))
+		if i < 0 || ins[i].op != tJumpIfZero && ins[i].op != tJumpIfNot {
+			continue
+		}
+		j := lastLive(ins, i)
+		if j < 0 {
+			continue
+		}
+		br, def := &ins[i], &ins[j]
+		if def.d < nLocals || br.a != def.d || !opInfos[def.op].def {
+			continue
+		}
+		var fused tin // branches when the def is non-zero
+		switch {
+		case def.op == uint16(wasm.OpI32Eqz) || def.op == uint16(wasm.OpI64Eqz):
+			// Registers hold i32 values zero-extended, so testing the full
+			// register is safe for i32.eqz as well.
+			fused = tin{op: tJumpIfZero, a: def.a}
+		case def.op >= tCmpImm && def.op < tCmpImm+cmpF32Eq:
+			fused = tin{op: tBrCmpImm + def.op - tCmpImm, a: def.a, imm: def.imm}
+		default:
 			k, ok := cmpKind(def.op)
 			if !ok {
 				continue
 			}
-			var fused uint16
-			if br.op == tJumpIfNot {
-				fused = uint16(tBrCmpBase + k)
-			} else {
-				fused = uint16(tBrCmpNotBase + k)
-			}
-			*br = tin{op: fused, a: def.a, b: def.b, imm: br.imm}
-			*def = tin{op: tNop}
+			fused = tin{op: uint16(tBrCmp + k), a: def.a, b: def.b}
+		}
+		if br.op == tJumpIfZero {
+			fused.op = negBranch(fused.op)
+		}
+		fused.d = br.d
+		*br = fused
+		*def = tin{op: tNop}
+	}
+}
+
+// lastLive returns the index of the last instruction before end that is not
+// a nop, or -1.
+func lastLive(ins []tin, end int) int {
+	for i := end - 1; i >= 0; i-- {
+		if ins[i].op != tNop {
+			return i
 		}
 	}
+	return -1
 }
 
 // threadJumps retargets branches that point at blocks containing only an
 // unconditional jump.
 func (o *optimizer) threadJumps() {
-	target := func(bid uint64) uint64 {
+	target := func(bid int32) int32 {
 		for hops := 0; hops < 8; hops++ {
 			blk := &o.g.blocks[bid]
 			redirected := false
@@ -426,10 +541,10 @@ func (o *optimizer) threadJumps() {
 				case tNop:
 					continue
 				case tJump:
-					if t.imm == bid {
+					if t.d == bid {
 						return bid // self-loop
 					}
-					bid = t.imm
+					bid = t.d
 					redirected = true
 				}
 				break
@@ -443,14 +558,14 @@ func (o *optimizer) threadJumps() {
 	for bi := range o.g.blocks {
 		for ii := range o.g.blocks[bi].ins {
 			t := &o.g.blocks[bi].ins[ii]
-			if hasTarget(t.op) {
-				t.imm = target(t.imm)
+			if opInfos[t.op].target {
+				t.d = target(t.d)
 			}
 		}
 	}
 	for ti := range o.g.tables {
 		for i := range o.g.tables[ti] {
-			o.g.tables[ti][i] = uint32(target(uint64(o.g.tables[ti][i])))
+			o.g.tables[ti][i] = uint32(target(int32(o.g.tables[ti][i])))
 		}
 	}
 }
@@ -460,18 +575,15 @@ func (o *optimizer) threadJumps() {
 func (o *optimizer) deadCodeElim() {
 	nb := len(o.g.blocks)
 	words := (o.nRegs + 63) / 64
-	liveIn := make([][]uint64, nb)
-	liveOut := make([][]uint64, nb)
+	liveIn := make([]regSet, nb)
+	liveOut := make([]regSet, nb)
 	for i := range liveIn {
-		liveIn[i] = make([]uint64, words)
-		liveOut[i] = make([]uint64, words)
+		liveIn[i] = make(regSet, words)
+		liveOut[i] = make(regSet, words)
 	}
-	set := func(bs []uint64, r int32) { bs[r>>6] |= 1 << (r & 63) }
-	clear := func(bs []uint64, r int32) { bs[r>>6] &^= 1 << (r & 63) }
-	get := func(bs []uint64, r int32) bool { return bs[r>>6]&(1<<(r&63)) != 0 }
 
 	// Backward fixpoint.
-	scratch := make([]uint64, words)
+	scratch := make(regSet, words)
 	var succ []int
 	for changed := true; changed; {
 		changed = false
@@ -489,12 +601,9 @@ func (o *optimizer) deadCodeElim() {
 			// live = out; walk block backwards applying use/def.
 			ins := o.g.blocks[bi].ins
 			for ii := len(ins) - 1; ii >= 0; ii-- {
-				t := &ins[ii]
-				if t.op == tNop {
-					continue
+				if t := &ins[ii]; t.op != tNop {
+					o.liveStep(scratch, t)
 				}
-				o.regDefs(t, func(r int32) { clear(scratch, r) })
-				o.regUses(t, func(r int32) { set(scratch, r) })
 			}
 			for w := range scratch {
 				if scratch[w] != liveIn[bi][w] {
@@ -514,26 +623,12 @@ func (o *optimizer) deadCodeElim() {
 			if t.op == tNop {
 				continue
 			}
-			kind, traps := classify(t.op)
-			removable := false
-			switch kind {
-			case kindBin, kindUn, kindConst, kindMove, kindSelect, kindLoad:
-				removable = !traps
+			info := &opInfos[t.op]
+			if info.def && !info.traps && info.kind != kindOther && !scratch.has(t.d) {
+				*t = tin{op: tNop}
+				continue
 			}
-			if removable {
-				dead := true
-				o.regDefs(t, func(r int32) {
-					if get(scratch, r) {
-						dead = false
-					}
-				})
-				if dead {
-					*t = tin{op: tNop}
-					continue
-				}
-			}
-			o.regDefs(t, func(r int32) { clear(scratch, r) })
-			o.regUses(t, func(r int32) { set(scratch, r) })
+			o.liveStep(scratch, t)
 		}
 	}
 }
@@ -541,16 +636,61 @@ func (o *optimizer) deadCodeElim() {
 // ---------------------------------------------------------------------------
 // Linearization: blocks → final instruction stream with pc targets.
 
+// maxRotate bounds the loop-header instructions copied per inverted loop.
+const maxRotate = 8
+
+// rotation returns the instructions of block h when a jump to it can be
+// replaced by a copy of it: h holds at most maxRotate straight-line
+// instructions and ends in a conditional branch. The copy's branch is
+// inverted to continue at h's successor, so a loop whose back edge jumps to
+// its test runs one branch per iteration instead of a jump and a branch.
+func (g *graph) rotation(h int32) []tin {
+	if int(h)+1 >= len(g.blocks) {
+		return nil
+	}
+	var body []tin
+	for _, t := range g.blocks[h].ins {
+		if t.op == tNop {
+			continue
+		}
+		if len(body) == maxRotate || t.op == tCall || t.op == tCallIndirect {
+			return nil
+		}
+		body = append(body, t)
+	}
+	if len(body) == 0 {
+		return nil
+	}
+	if last := opInfos[body[len(body)-1].op]; !last.branch || last.uncond {
+		return nil
+	}
+	return body
+}
+
 func linearize(c *Code, g *graph) {
 	// Emit blocks in order, dropping nops and jumps to the next block, and
-	// record each block's start pc.
+	// record each block's start pc. A jump to a loop test is inverted.
 	var out []tin
 	start := make([]int, len(g.blocks)+1)
 	for bi := range g.blocks {
 		start[bi] = len(out)
 		for _, t := range g.blocks[bi].ins {
-			if t.op == tNop || (t.op == tJump && int(t.imm) == bi+1) {
+			if t.op == tNop || (t.op == tJump && int(t.d) == bi+1) {
 				continue
+			}
+			if t.op == tJump && int(t.d) != bi {
+				if body := g.rotation(t.d); body != nil {
+					n := len(body) - 1
+					out = append(out, body[:n]...)
+					br := body[n]
+					exit := br.d
+					br.op, br.d = negBranch(br.op), t.d+1
+					out = append(out, br)
+					if int(exit) != bi+1 {
+						out = append(out, tin{op: tJump, d: exit})
+					}
+					continue
+				}
 			}
 			out = append(out, t)
 		}
@@ -558,8 +698,8 @@ func linearize(c *Code, g *graph) {
 	start[len(g.blocks)] = len(out)
 	// Rewrite block-id targets to pcs.
 	for i := range out {
-		if hasTarget(out[i].op) {
-			out[i].imm = uint64(start[out[i].imm])
+		if opInfos[out[i].op].target {
+			out[i].d = int32(start[out[i].d])
 		}
 	}
 	c.tables = make([][]uint32, len(g.tables))
@@ -571,13 +711,8 @@ func linearize(c *Code, g *graph) {
 	}
 	// Guarantee the stream ends in a control transfer (lowering always emits
 	// tRet, but a trailing empty block may remain a jump target).
-	if n := len(out); n == 0 || !isUncond(out[n-1].op) {
+	if n := len(out); n == 0 || !opInfos[out[n-1].op].uncond {
 		out = append(out, tin{op: tRet})
 	}
 	c.ins = out
-}
-
-func isUncond(op uint16) bool {
-	_, u := isBranch(op)
-	return u
 }

@@ -38,28 +38,14 @@ func (c *Code) run(env *rt.Env, regs []uint64) {
 			uint16(wasm.OpF32Const), uint16(wasm.OpF64Const):
 			regs[t.d] = t.imm
 		case tJump:
-			// Taken backward jumps (loop back-edges) charge fuel so runaway
-			// loops stay interruptible; unmetered runs pay only the bool test.
-			if env.Metered && int(t.imm) <= pc {
-				env.UseFuel(1)
-			}
-			pc = int(t.imm)
-			continue
+			goto branch
 		case tJumpIfZero:
 			if regs[t.a] == 0 {
-				if env.Metered && int(t.imm) <= pc {
-					env.UseFuel(1)
-				}
-				pc = int(t.imm)
-				continue
+				goto branch
 			}
 		case tJumpIfNot:
 			if regs[t.a] != 0 {
-				if env.Metered && int(t.imm) <= pc {
-					env.UseFuel(1)
-				}
-				pc = int(t.imm)
-				continue
+				goto branch
 			}
 		case tRet:
 			return
@@ -422,28 +408,388 @@ func (c *Code) run(env *rt.Env, regs []uint64) {
 		case uint16(wasm.OpI64Extend32S):
 			regs[t.d] = uint64(int64(int32(uint32(regs[t.a]))))
 
-		default:
-			// Fused compare-and-branch families.
-			if t.op >= tBrCmpBase && t.op < tBrCmpBase+numCmpKinds {
-				if evalCmp(int(t.op-tBrCmpBase), regs[t.a], regs[t.b]) {
-					if env.Metered && int(t.imm) <= pc {
-						env.UseFuel(1)
-					}
-					pc = int(t.imm)
-					continue
-				}
-			} else if t.op >= tBrCmpNotBase && t.op < tBrCmpNotBase+numCmpKinds {
-				if !evalCmp(int(t.op-tBrCmpNotBase), regs[t.a], regs[t.b]) {
-					if env.Metered && int(t.imm) <= pc {
-						env.UseFuel(1)
-					}
-					pc = int(t.imm)
-					continue
-				}
-			} else {
-				rt.Trap("turbofan: unknown opcode %#x", t.op)
+		// Compare-and-branch, register operands.
+		case tBrCmp + cmpI32Eq:
+			if uint32(regs[t.a]) == uint32(regs[t.b]) {
+				goto branch
 			}
+		case tBrCmp + cmpI32Ne:
+			if uint32(regs[t.a]) != uint32(regs[t.b]) {
+				goto branch
+			}
+		case tBrCmp + cmpI32LtS:
+			if int32(uint32(regs[t.a])) < int32(uint32(regs[t.b])) {
+				goto branch
+			}
+		case tBrCmp + cmpI32LtU:
+			if uint32(regs[t.a]) < uint32(regs[t.b]) {
+				goto branch
+			}
+		case tBrCmp + cmpI32GtS:
+			if int32(uint32(regs[t.a])) > int32(uint32(regs[t.b])) {
+				goto branch
+			}
+		case tBrCmp + cmpI32GtU:
+			if uint32(regs[t.a]) > uint32(regs[t.b]) {
+				goto branch
+			}
+		case tBrCmp + cmpI32LeS:
+			if int32(uint32(regs[t.a])) <= int32(uint32(regs[t.b])) {
+				goto branch
+			}
+		case tBrCmp + cmpI32LeU:
+			if uint32(regs[t.a]) <= uint32(regs[t.b]) {
+				goto branch
+			}
+		case tBrCmp + cmpI32GeS:
+			if int32(uint32(regs[t.a])) >= int32(uint32(regs[t.b])) {
+				goto branch
+			}
+		case tBrCmp + cmpI32GeU:
+			if uint32(regs[t.a]) >= uint32(regs[t.b]) {
+				goto branch
+			}
+		case tBrCmp + cmpI64Eq:
+			if regs[t.a] == regs[t.b] {
+				goto branch
+			}
+		case tBrCmp + cmpI64Ne:
+			if regs[t.a] != regs[t.b] {
+				goto branch
+			}
+		case tBrCmp + cmpI64LtS:
+			if int64(regs[t.a]) < int64(regs[t.b]) {
+				goto branch
+			}
+		case tBrCmp + cmpI64LtU:
+			if regs[t.a] < regs[t.b] {
+				goto branch
+			}
+		case tBrCmp + cmpI64GtS:
+			if int64(regs[t.a]) > int64(regs[t.b]) {
+				goto branch
+			}
+		case tBrCmp + cmpI64GtU:
+			if regs[t.a] > regs[t.b] {
+				goto branch
+			}
+		case tBrCmp + cmpI64LeS:
+			if int64(regs[t.a]) <= int64(regs[t.b]) {
+				goto branch
+			}
+		case tBrCmp + cmpI64LeU:
+			if regs[t.a] <= regs[t.b] {
+				goto branch
+			}
+		case tBrCmp + cmpI64GeS:
+			if int64(regs[t.a]) >= int64(regs[t.b]) {
+				goto branch
+			}
+		case tBrCmp + cmpI64GeU:
+			if regs[t.a] >= regs[t.b] {
+				goto branch
+			}
+		case tBrCmp + cmpF32Eq:
+			if rt.F32(regs[t.a]) == rt.F32(regs[t.b]) {
+				goto branch
+			}
+		case tBrCmp + cmpF32Ne:
+			if rt.F32(regs[t.a]) != rt.F32(regs[t.b]) {
+				goto branch
+			}
+		case tBrCmp + cmpF32Lt:
+			if rt.F32(regs[t.a]) < rt.F32(regs[t.b]) {
+				goto branch
+			}
+		case tBrCmp + cmpF32Gt:
+			if rt.F32(regs[t.a]) > rt.F32(regs[t.b]) {
+				goto branch
+			}
+		case tBrCmp + cmpF32Le:
+			if rt.F32(regs[t.a]) <= rt.F32(regs[t.b]) {
+				goto branch
+			}
+		case tBrCmp + cmpF32Ge:
+			if rt.F32(regs[t.a]) >= rt.F32(regs[t.b]) {
+				goto branch
+			}
+		case tBrCmp + cmpF64Eq:
+			if rt.F64(regs[t.a]) == rt.F64(regs[t.b]) {
+				goto branch
+			}
+		case tBrCmp + cmpF64Ne:
+			if rt.F64(regs[t.a]) != rt.F64(regs[t.b]) {
+				goto branch
+			}
+		case tBrCmp + cmpF64Lt:
+			if rt.F64(regs[t.a]) < rt.F64(regs[t.b]) {
+				goto branch
+			}
+		case tBrCmp + cmpF64Gt:
+			if rt.F64(regs[t.a]) > rt.F64(regs[t.b]) {
+				goto branch
+			}
+		case tBrCmp + cmpF64Le:
+			if rt.F64(regs[t.a]) <= rt.F64(regs[t.b]) {
+				goto branch
+			}
+		case tBrCmp + cmpF64Ge:
+			if rt.F64(regs[t.a]) >= rt.F64(regs[t.b]) {
+				goto branch
+			}
+		case tBrCmpNot + cmpF32Eq - cmpF32Eq:
+			if !(rt.F32(regs[t.a]) == rt.F32(regs[t.b])) {
+				goto branch
+			}
+		case tBrCmpNot + cmpF32Ne - cmpF32Eq:
+			if !(rt.F32(regs[t.a]) != rt.F32(regs[t.b])) {
+				goto branch
+			}
+		case tBrCmpNot + cmpF32Lt - cmpF32Eq:
+			if !(rt.F32(regs[t.a]) < rt.F32(regs[t.b])) {
+				goto branch
+			}
+		case tBrCmpNot + cmpF32Gt - cmpF32Eq:
+			if !(rt.F32(regs[t.a]) > rt.F32(regs[t.b])) {
+				goto branch
+			}
+		case tBrCmpNot + cmpF32Le - cmpF32Eq:
+			if !(rt.F32(regs[t.a]) <= rt.F32(regs[t.b])) {
+				goto branch
+			}
+		case tBrCmpNot + cmpF32Ge - cmpF32Eq:
+			if !(rt.F32(regs[t.a]) >= rt.F32(regs[t.b])) {
+				goto branch
+			}
+		case tBrCmpNot + cmpF64Eq - cmpF32Eq:
+			if !(rt.F64(regs[t.a]) == rt.F64(regs[t.b])) {
+				goto branch
+			}
+		case tBrCmpNot + cmpF64Ne - cmpF32Eq:
+			if !(rt.F64(regs[t.a]) != rt.F64(regs[t.b])) {
+				goto branch
+			}
+		case tBrCmpNot + cmpF64Lt - cmpF32Eq:
+			if !(rt.F64(regs[t.a]) < rt.F64(regs[t.b])) {
+				goto branch
+			}
+		case tBrCmpNot + cmpF64Gt - cmpF32Eq:
+			if !(rt.F64(regs[t.a]) > rt.F64(regs[t.b])) {
+				goto branch
+			}
+		case tBrCmpNot + cmpF64Le - cmpF32Eq:
+			if !(rt.F64(regs[t.a]) <= rt.F64(regs[t.b])) {
+				goto branch
+			}
+		case tBrCmpNot + cmpF64Ge - cmpF32Eq:
+			if !(rt.F64(regs[t.a]) >= rt.F64(regs[t.b])) {
+				goto branch
+			}
+
+		// Compare-and-branch, immediate right operand.
+		case tBrCmpImm + cmpI32Eq:
+			if uint32(regs[t.a]) == uint32(t.imm) {
+				goto branch
+			}
+		case tBrCmpImm + cmpI32Ne:
+			if uint32(regs[t.a]) != uint32(t.imm) {
+				goto branch
+			}
+		case tBrCmpImm + cmpI32LtS:
+			if int32(uint32(regs[t.a])) < int32(uint32(t.imm)) {
+				goto branch
+			}
+		case tBrCmpImm + cmpI32LtU:
+			if uint32(regs[t.a]) < uint32(t.imm) {
+				goto branch
+			}
+		case tBrCmpImm + cmpI32GtS:
+			if int32(uint32(regs[t.a])) > int32(uint32(t.imm)) {
+				goto branch
+			}
+		case tBrCmpImm + cmpI32GtU:
+			if uint32(regs[t.a]) > uint32(t.imm) {
+				goto branch
+			}
+		case tBrCmpImm + cmpI32LeS:
+			if int32(uint32(regs[t.a])) <= int32(uint32(t.imm)) {
+				goto branch
+			}
+		case tBrCmpImm + cmpI32LeU:
+			if uint32(regs[t.a]) <= uint32(t.imm) {
+				goto branch
+			}
+		case tBrCmpImm + cmpI32GeS:
+			if int32(uint32(regs[t.a])) >= int32(uint32(t.imm)) {
+				goto branch
+			}
+		case tBrCmpImm + cmpI32GeU:
+			if uint32(regs[t.a]) >= uint32(t.imm) {
+				goto branch
+			}
+		case tBrCmpImm + cmpI64Eq:
+			if regs[t.a] == t.imm {
+				goto branch
+			}
+		case tBrCmpImm + cmpI64Ne:
+			if regs[t.a] != t.imm {
+				goto branch
+			}
+		case tBrCmpImm + cmpI64LtS:
+			if int64(regs[t.a]) < int64(t.imm) {
+				goto branch
+			}
+		case tBrCmpImm + cmpI64LtU:
+			if regs[t.a] < t.imm {
+				goto branch
+			}
+		case tBrCmpImm + cmpI64GtS:
+			if int64(regs[t.a]) > int64(t.imm) {
+				goto branch
+			}
+		case tBrCmpImm + cmpI64GtU:
+			if regs[t.a] > t.imm {
+				goto branch
+			}
+		case tBrCmpImm + cmpI64LeS:
+			if int64(regs[t.a]) <= int64(t.imm) {
+				goto branch
+			}
+		case tBrCmpImm + cmpI64LeU:
+			if regs[t.a] <= t.imm {
+				goto branch
+			}
+		case tBrCmpImm + cmpI64GeS:
+			if int64(regs[t.a]) >= int64(t.imm) {
+				goto branch
+			}
+		case tBrCmpImm + cmpI64GeU:
+			if regs[t.a] >= t.imm {
+				goto branch
+			}
+
+		// Comparisons, immediate right operand.
+		case tCmpImm + cmpI32Eq:
+			regs[t.d] = rt.B2i(uint32(regs[t.a]) == uint32(t.imm))
+		case tCmpImm + cmpI32Ne:
+			regs[t.d] = rt.B2i(uint32(regs[t.a]) != uint32(t.imm))
+		case tCmpImm + cmpI32LtS:
+			regs[t.d] = rt.B2i(int32(uint32(regs[t.a])) < int32(uint32(t.imm)))
+		case tCmpImm + cmpI32LtU:
+			regs[t.d] = rt.B2i(uint32(regs[t.a]) < uint32(t.imm))
+		case tCmpImm + cmpI32GtS:
+			regs[t.d] = rt.B2i(int32(uint32(regs[t.a])) > int32(uint32(t.imm)))
+		case tCmpImm + cmpI32GtU:
+			regs[t.d] = rt.B2i(uint32(regs[t.a]) > uint32(t.imm))
+		case tCmpImm + cmpI32LeS:
+			regs[t.d] = rt.B2i(int32(uint32(regs[t.a])) <= int32(uint32(t.imm)))
+		case tCmpImm + cmpI32LeU:
+			regs[t.d] = rt.B2i(uint32(regs[t.a]) <= uint32(t.imm))
+		case tCmpImm + cmpI32GeS:
+			regs[t.d] = rt.B2i(int32(uint32(regs[t.a])) >= int32(uint32(t.imm)))
+		case tCmpImm + cmpI32GeU:
+			regs[t.d] = rt.B2i(uint32(regs[t.a]) >= uint32(t.imm))
+		case tCmpImm + cmpI64Eq:
+			regs[t.d] = rt.B2i(regs[t.a] == t.imm)
+		case tCmpImm + cmpI64Ne:
+			regs[t.d] = rt.B2i(regs[t.a] != t.imm)
+		case tCmpImm + cmpI64LtS:
+			regs[t.d] = rt.B2i(int64(regs[t.a]) < int64(t.imm))
+		case tCmpImm + cmpI64LtU:
+			regs[t.d] = rt.B2i(regs[t.a] < t.imm)
+		case tCmpImm + cmpI64GtS:
+			regs[t.d] = rt.B2i(int64(regs[t.a]) > int64(t.imm))
+		case tCmpImm + cmpI64GtU:
+			regs[t.d] = rt.B2i(regs[t.a] > t.imm)
+		case tCmpImm + cmpI64LeS:
+			regs[t.d] = rt.B2i(int64(regs[t.a]) <= int64(t.imm))
+		case tCmpImm + cmpI64LeU:
+			regs[t.d] = rt.B2i(regs[t.a] <= t.imm)
+		case tCmpImm + cmpI64GeS:
+			regs[t.d] = rt.B2i(int64(regs[t.a]) >= int64(t.imm))
+		case tCmpImm + cmpI64GeU:
+			regs[t.d] = rt.B2i(regs[t.a] >= t.imm)
+
+		// Register-immediate arithmetic.
+		case tI32AddImm:
+			regs[t.d] = uint64(uint32(regs[t.a]) + uint32(t.imm))
+		case tI32MulImm:
+			regs[t.d] = uint64(uint32(regs[t.a]) * uint32(t.imm))
+		case tI32AndImm:
+			regs[t.d] = uint64(uint32(regs[t.a]) & uint32(t.imm))
+		case tI32OrImm:
+			regs[t.d] = uint64(uint32(regs[t.a]) | uint32(t.imm))
+		case tI32XorImm:
+			regs[t.d] = uint64(uint32(regs[t.a]) ^ uint32(t.imm))
+		case tI32ShlImm:
+			regs[t.d] = uint64(uint32(regs[t.a]) << (t.imm & 31))
+		case tI32ShrSImm:
+			regs[t.d] = uint64(uint32(int32(uint32(regs[t.a])) >> (t.imm & 31)))
+		case tI32ShrUImm:
+			regs[t.d] = uint64(uint32(regs[t.a]) >> (t.imm & 31))
+		case tI64AddImm:
+			regs[t.d] = regs[t.a] + t.imm
+		case tI64MulImm:
+			regs[t.d] = regs[t.a] * t.imm
+		case tI64AndImm:
+			regs[t.d] = regs[t.a] & t.imm
+		case tI64OrImm:
+			regs[t.d] = regs[t.a] | t.imm
+		case tI64XorImm:
+			regs[t.d] = regs[t.a] ^ t.imm
+		case tI64ShlImm:
+			regs[t.d] = regs[t.a] << (t.imm & 63)
+		case tI64ShrSImm:
+			regs[t.d] = uint64(int64(regs[t.a]) >> (t.imm & 63))
+		case tI64ShrUImm:
+			regs[t.d] = regs[t.a] >> (t.imm & 63)
+
+		// Fused address-mode loads: the base wraps to 32 bits, the offset
+		// does not, and CheckAddr traps exactly as for the unfused load.
+		case tLoadAdd + ldU8:
+			regs[t.d] = uint64(rt.LdU8(pages, mem, rt.CheckAddr(uint64(uint32(regs[t.a])+uint32(regs[t.b])), t.imm, 1)))
+		case tLoadAdd + ldU16:
+			regs[t.d] = uint64(rt.LdU16(pages, mem, rt.CheckAddr(uint64(uint32(regs[t.a])+uint32(regs[t.b])), t.imm, 2)))
+		case tLoadAdd + ldU32:
+			regs[t.d] = uint64(rt.LdU32(pages, mem, rt.CheckAddr(uint64(uint32(regs[t.a])+uint32(regs[t.b])), t.imm, 4)))
+		case tLoadAdd + ldU64:
+			regs[t.d] = rt.LdU64(pages, mem, rt.CheckAddr(uint64(uint32(regs[t.a])+uint32(regs[t.b])), t.imm, 8))
+		case tLoadAddImm + ldU8:
+			regs[t.d] = uint64(rt.LdU8(pages, mem, rt.CheckAddr(uint64(uint32(regs[t.a])+uint32(t.b)), t.imm, 1)))
+		case tLoadAddImm + ldU16:
+			regs[t.d] = uint64(rt.LdU16(pages, mem, rt.CheckAddr(uint64(uint32(regs[t.a])+uint32(t.b)), t.imm, 2)))
+		case tLoadAddImm + ldU32:
+			regs[t.d] = uint64(rt.LdU32(pages, mem, rt.CheckAddr(uint64(uint32(regs[t.a])+uint32(t.b)), t.imm, 4)))
+		case tLoadAddImm + ldU64:
+			regs[t.d] = rt.LdU64(pages, mem, rt.CheckAddr(uint64(uint32(regs[t.a])+uint32(t.b)), t.imm, 8))
+		case tLoadShl + ldU8:
+			regs[t.d] = uint64(rt.LdU8(pages, mem, rt.CheckAddr(uint64(uint32(regs[t.a])<<(uint32(t.b)&31)), t.imm, 1)))
+		case tLoadShl + ldU16:
+			regs[t.d] = uint64(rt.LdU16(pages, mem, rt.CheckAddr(uint64(uint32(regs[t.a])<<(uint32(t.b)&31)), t.imm, 2)))
+		case tLoadShl + ldU32:
+			regs[t.d] = uint64(rt.LdU32(pages, mem, rt.CheckAddr(uint64(uint32(regs[t.a])<<(uint32(t.b)&31)), t.imm, 4)))
+		case tLoadShl + ldU64:
+			regs[t.d] = rt.LdU64(pages, mem, rt.CheckAddr(uint64(uint32(regs[t.a])<<(uint32(t.b)&31)), t.imm, 8))
+		case tLoadConst + ldU8:
+			regs[t.d] = uint64(rt.LdU8(pages, mem, uint32(t.imm)))
+		case tLoadConst + ldU16:
+			regs[t.d] = uint64(rt.LdU16(pages, mem, uint32(t.imm)))
+		case tLoadConst + ldU32:
+			regs[t.d] = uint64(rt.LdU32(pages, mem, uint32(t.imm)))
+		case tLoadConst + ldU64:
+			regs[t.d] = rt.LdU64(pages, mem, uint32(t.imm))
+
+		default:
+			rt.Trap("turbofan: unknown opcode %#x", t.op)
 		}
 		pc++
+		continue
+	branch:
+		// Taken backward branches (loop back-edges) charge fuel so runaway
+		// loops stay interruptible; unmetered runs pay only the bool test.
+		if env.Metered && int(t.d) <= pc {
+			env.UseFuel(1)
+		}
+		pc = int(t.d)
 	}
 }

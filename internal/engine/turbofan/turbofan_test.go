@@ -6,6 +6,7 @@ import (
 
 	"wasmdb/internal/engine/liftoff"
 	"wasmdb/internal/engine/rt"
+	"wasmdb/internal/engine/wmem"
 	"wasmdb/internal/wasm"
 )
 
@@ -84,7 +85,7 @@ func TestBranchFusion(t *testing.T) {
 	// Fused form present?
 	fused := false
 	for _, in := range tf.ins {
-		if in.op >= tBrCmpBase && in.op < tBrCmpNotBase+numCmpKinds {
+		if in.op >= tBrCmp && in.op < tCmpImm {
 			fused = true
 		}
 	}
@@ -226,5 +227,156 @@ func TestDCERemovesDeadArithmetic(t *testing.T) {
 	tf, _ := compileBoth(t, m)
 	if len(tf.ins) > 6 {
 		t.Errorf("dead arithmetic survived: %d instructions", len(tf.ins))
+	}
+}
+
+// countOps counts the instructions of c for which match holds.
+func countOps(c *Code, match func(op uint16) bool) int {
+	n := 0
+	for _, in := range c.ins {
+		if match(in.op) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestFusedFormsEmitted checks that the optimizer emits the register-
+// immediate, fused-load and inverted-loop forms, and that the code they
+// make agrees with liftoff. Opcode-by-opcode edge cases are covered in the
+// engine package (immediates_test.go).
+func TestFusedFormsEmitted(t *testing.T) {
+	// sum(i = 0; i < n; i++) of mem[(i << 2) + 64] + mem[base + i] +
+	// mem[i - (-8)] + mem[12], with the loop test at the top and the back
+	// edge a jump.
+	b := wasm.NewModuleBuilder()
+	b.AddMemory(1, 1)
+	f := b.NewFunc("f", wasm.FuncType{Params: []wasm.ValType{wasm.I32, wasm.I32}, Results: []wasm.ValType{wasm.I32}})
+	acc := f.AddLocal(wasm.I32)
+	i := f.AddLocal(wasm.I32)
+	f.Block(wasm.BlockVoid)
+	f.Loop(wasm.BlockVoid)
+	f.LocalGet(i)
+	f.LocalGet(0)
+	f.Op(wasm.OpI32GeU)
+	f.BrIf(1)
+	f.LocalGet(i)
+	f.I32Const(2)
+	f.Op(wasm.OpI32Shl)
+	f.I32Load(64)
+	f.LocalGet(1)
+	f.LocalGet(i)
+	f.I32Add()
+	f.I32Load8U(0)
+	f.I32Add()
+	f.LocalGet(i)
+	f.I32Const(-8)
+	f.I32Sub()
+	f.I32Load16U(0)
+	f.I32Add()
+	f.I32Const(12)
+	f.I32Load(0)
+	f.I32Add()
+	f.LocalGet(acc)
+	f.I32Add()
+	f.LocalSet(acc)
+	f.LocalGet(i)
+	f.I32Const(1)
+	f.I32Add()
+	f.LocalSet(i)
+	f.Br(0)
+	f.End()
+	f.End()
+	f.LocalGet(acc)
+	m := b.Module()
+	tf, lo := compileBoth(t, m)
+
+	in := func(lo, hi int) func(uint16) bool {
+		return func(op uint16) bool { return int(op) >= lo && int(op) < hi }
+	}
+	for _, c := range []struct {
+		what  string
+		match func(uint16) bool
+		want  int
+	}{
+		{"i32.const", func(op uint16) bool { return op == uint16(wasm.OpI32Const) }, 0},
+		{"move", func(op uint16) bool { return op == tMove }, 1}, // the result
+		{"jump", func(op uint16) bool { return op == tJump }, 0},
+		{"i32.add_imm", func(op uint16) bool { return op == tI32AddImm }, 1},
+		{"load, add base", in(tLoadAdd, tLoadAdd+numLoadWidths), 1},
+		{"load, add-immediate base", in(tLoadAddImm, tLoadAddImm+numLoadWidths), 1},
+		{"load, shl base", in(tLoadShl, tLoadShl+numLoadWidths), 1},
+		{"load, constant address", in(tLoadConst, tLoadConst+numLoadWidths), 1},
+		{"compare-and-branch", in(tBrCmp, tBrCmpImm), 2},
+	} {
+		if got := countOps(tf, c.match); got != c.want {
+			t.Errorf("%s: %d instructions, want %d; code:\n%v", c.what, got, c.want, tf.ins)
+		}
+	}
+	// The inverted loop test closes the loop with a backward branch.
+	if last := tf.ins[len(tf.ins)-3]; last.op != tBrCmp+cmpI32LtU || int(last.d) >= len(tf.ins)-3 {
+		t.Errorf("loop does not end in an inverted backward compare-and-branch: %+v", last)
+	}
+
+	mem := make([]byte, 1<<16)
+	for i := range mem {
+		mem[i] = byte(i * 7)
+	}
+	for _, args := range [][]uint64{{0, 0}, {1, 100}, {50, 60000}, {300, 1000}} {
+		var got [2]uint64
+		for k, c := range []rt.Callee{tf, lo} {
+			wm := wmem.New(1, 1)
+			copy(wm.PageSlice()[0], mem)
+			env := &rt.Env{Funcs: []rt.Callee{c}, Mem: wm}
+			res := make([]uint64, 1)
+			c.Call(env, args, res)
+			got[k] = res[0]
+		}
+		if got[0] != got[1] {
+			t.Errorf("args %v: turbofan %#x, liftoff %#x", args, got[0], got[1])
+		}
+	}
+}
+
+// TestCountedLoopInverted: a loop whose test compares with a constant ends
+// in a backward compare-immediate branch instead of a jump back to its test.
+func TestCountedLoopInverted(t *testing.T) {
+	b := wasm.NewModuleBuilder()
+	f := b.NewFunc("count", wasm.FuncType{Params: []wasm.ValType{wasm.I64}, Results: []wasm.ValType{wasm.I64}})
+	f.Block(wasm.BlockVoid)
+	f.Loop(wasm.BlockVoid)
+	f.LocalGet(0)
+	f.I64Const(1000)
+	f.Op(wasm.OpI64GeU)
+	f.BrIf(1)
+	f.LocalGet(0)
+	f.I64Const(3)
+	f.I64Add()
+	f.LocalSet(0)
+	f.Br(0)
+	f.End()
+	f.End()
+	f.LocalGet(0)
+	m := b.Module()
+	tf, lo := compileBoth(t, m)
+	backEdges := 0
+	for pc, in := range tf.ins {
+		if in.op == tJump {
+			t.Errorf("pc %d: jump left in an inverted loop: %v", pc, tf.ins)
+		}
+		if in.op == tBrCmpImm+cmpI64LtU && int(in.d) <= pc && in.imm == 1000 {
+			backEdges++
+		}
+	}
+	if backEdges != 1 {
+		t.Errorf("%d backward i64.lt_u-immediate branches, want 1: %v", backEdges, tf.ins)
+	}
+	for _, n := range []uint64{0, 1, 999, 1000, 5000} {
+		r1, r2 := make([]uint64, 1), make([]uint64, 1)
+		tf.Call(&rt.Env{Funcs: []rt.Callee{tf}}, []uint64{n}, r1)
+		lo.Call(&rt.Env{Funcs: []rt.Callee{lo}}, []uint64{n}, r2)
+		if r1[0] != r2[0] {
+			t.Errorf("n=%d: turbofan %d vs liftoff %d", n, r1[0], r2[0])
+		}
 	}
 }

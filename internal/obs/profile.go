@@ -170,12 +170,17 @@ func NewQueryProfile(tr *Trace, wall time.Duration) QueryProfile {
 
 func (p *QueryProfile) readSpans(spans []Span) {
 	layers := p.Layers()
+	var pipes, merges []Span
 	for _, sp := range spans {
 		if sp.Name == SpanTurbofan {
 			p.Turbofan += sp.Dur
 			continue
 		}
+		if sp.Name == SpanMerge {
+			merges = append(merges, sp)
+		}
 		if strings.HasPrefix(sp.Name, SpanPipeline) {
+			pipes = append(pipes, sp)
 			ps := PipelineSpan{Name: strings.TrimPrefix(sp.Name, SpanPipeline), Dur: sp.Dur, Rows: -1}
 			if rows, ok := arg(sp.Args, "rows"); ok {
 				ps.Rows = rows.Val
@@ -192,9 +197,18 @@ func (p *QueryProfile) readSpans(spans []Span) {
 			}
 		}
 	}
-	// Merge barriers run inside the execute span; take them out so the
-	// layers stay disjoint.
+	// Merge barriers run inside the execute span and inside the pipeline
+	// span that drives them; take them out of both so the layers, and each
+	// pipeline's time, stay disjoint from the merge time.
 	p.Pipelines -= p.Merge
+	for _, m := range merges {
+		for i, ps := range pipes {
+			if !m.Start.Before(ps.Start) && !m.Start.Add(m.Dur).After(ps.Start.Add(ps.Dur)) {
+				p.PipelineSpans[i].Dur -= m.Dur
+				break
+			}
+		}
+	}
 }
 
 func (p *QueryProfile) readEvents(events []Event, start time.Time) {

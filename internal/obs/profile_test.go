@@ -5,6 +5,29 @@ import (
 	"time"
 )
 
+// TestPipelineSpansExcludeNestedMerges: a merge barrier counts in the
+// merge layer, not in the time of the pipeline span it ran inside; a merge
+// outside every pipeline span leaves them as they are.
+func TestPipelineSpansExcludeNestedMerges(t *testing.T) {
+	ms := time.Millisecond
+	tr := NewTrace()
+	at := tr.StartTime()
+	tr.AddSpan(SpanExecute, at, 30*ms)
+	tr.AddSpan(SpanPipeline+"pipeline_0", at, 10*ms)
+	tr.AddSpan(SpanMerge, at.Add(6*ms), 4*ms) // ends with pipeline_0
+	tr.AddSpan(SpanPipeline+"pipeline_1", at.Add(10*ms), 12*ms)
+	tr.AddSpan(SpanMerge, at.Add(12*ms), 3*ms)
+	tr.AddSpan(SpanMerge, at.Add(25*ms), 2*ms) // after both pipelines
+
+	p := NewQueryProfile(tr, 30*ms)
+	if len(p.PipelineSpans) != 2 || p.PipelineSpans[0].Dur != 6*ms || p.PipelineSpans[1].Dur != 9*ms {
+		t.Errorf("pipeline spans = %+v, want pipeline_0 6ms and pipeline_1 9ms", p.PipelineSpans)
+	}
+	if p.Merge != 9*ms || p.Pipelines != 21*ms {
+		t.Errorf("merge/pipelines = %v/%v, want 9ms/21ms", p.Merge, p.Pipelines)
+	}
+}
+
 // TestQueryProfileLayersDisjoint: a merge barrier nested in the execute span
 // counts once, as merge; turbofan stays out of the sum; an admission span
 // extends the total; and the events and counters land in their fields.
@@ -18,8 +41,9 @@ func TestQueryProfileLayersDisjoint(t *testing.T) {
 	tr.AddSpan(SpanMerge, at, 3*ms)
 	tr.AddSpan(SpanMerge, at, 1*ms)
 	tr.AddSpan(SpanTurbofan, at, 50*ms)
-	tr.AddSpan(SpanPipeline+"pipeline_0", at, 2*ms, I("rows", 9), I("workers", 2))
-	tr.AddSpan(SpanPipeline+"pipeline_1", at, 1*ms)
+	// The pipeline spans start after the merges, so none nests in them.
+	tr.AddSpan(SpanPipeline+"pipeline_0", at.Add(5*ms), 2*ms, I("rows", 9), I("workers", 2))
+	tr.AddSpan(SpanPipeline+"pipeline_1", at.Add(7*ms), 1*ms)
 	tr.Event(EvTierUp, I("func", 1), I("morsel", 3))
 	tr.Event(EvTierSwitch, I("func", 1), I("morsel", 4))
 	tr.Event(EvAutopilot, S("choice", "adaptive"), I("workers", 2), S("reason", "big"))
